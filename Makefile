@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race fuzz-short experiments-smoke obs-smoke report-smoke bench-smoke bench-snapshot serve-smoke telemetry-smoke
+.PHONY: all build lint test race fuzz-short experiments-smoke perfbench obs-smoke report-smoke bench-smoke bench-snapshot serve-smoke telemetry-smoke
 
 all: build lint test
 
@@ -34,6 +34,12 @@ fuzz-short:
 
 experiments-smoke:
 	$(GO) run ./cmd/experiments -id fig2 -insts 2000 -metrics
+
+# Matches the CI perfbench step: perfbench/ is a separate Go module, so
+# `go test ./...` never runs its goldens (per-cell cycles, Figure 10
+# table digest).
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test .
 
 # Matches the CI bench-smoke job: every benchmark must still compile and
 # complete one iteration, so the committed trajectory can't bit-rot.

@@ -21,6 +21,7 @@ import (
 	"helios/internal/fusion"
 	"helios/internal/helios"
 	"helios/internal/ooo"
+	"helios/internal/trace"
 	"helios/internal/workloads"
 )
 
@@ -233,41 +234,52 @@ func BenchmarkEmulator(b *testing.B) {
 	b.ReportMetric(float64(retired), "insts")
 }
 
-// BenchmarkPipelineNoFusion measures cycle-level simulation speed.
+// BenchmarkPipelineNoFusion measures the cycle-level replay rung: one op
+// is a full replay of a recorded xz stream (pipelineBudget instructions)
+// under NoFusion, so ns/op is replay wall and cycles/op pins the
+// simulated machine.
 func BenchmarkPipelineNoFusion(b *testing.B) {
 	benchPipeline(b, fusion.ModeNoFusion)
 }
 
-// BenchmarkPipelineHelios measures simulation speed with the full Helios
+// BenchmarkPipelineHelios is the replay rung with the full Helios
 // machinery enabled.
 func BenchmarkPipelineHelios(b *testing.B) {
 	benchPipeline(b, fusion.ModeHelios)
 }
 
-// BenchmarkPipelineOracle measures simulation speed with oracle pairing.
+// BenchmarkPipelineOracle is the replay rung with oracle pairing.
 func BenchmarkPipelineOracle(b *testing.B) {
 	benchPipeline(b, fusion.ModeOracle)
 }
 
+// pipelineBudget sizes the replay rungs: long enough that pipeline warmup
+// is a small share, short enough for a fixed -benchtime 3x snapshot.
+const pipelineBudget = 100_000
+
 func benchPipeline(b *testing.B, mode fusion.Mode) {
 	w, _ := workloads.ByName("xz")
+	src, err := w.Trace(pipelineBudget)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec, err := trace.Record(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
-	done := uint64(0)
-	for done < uint64(b.N) {
-		r, err := core.Run(context.Background(), w, mode, min64(uint64(b.N)-done, w.MaxInsts))
+	var cycles, insts uint64
+	for i := 0; i < b.N; i++ {
+		r, err := core.RunSource(context.Background(), w.Name, ooo.DefaultConfig(mode), rec.Replay(), pipelineBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
-		done += r.Stats.CommittedInsts
+		cycles += r.Stats.Cycles
+		insts += r.Stats.CommittedInsts
 	}
-	b.ReportMetric(float64(done), "insts")
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
+	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
+	b.ReportMetric(float64(insts)/float64(b.N), "insts/op")
 }
 
 // BenchmarkUCH measures the Unfused Committed History's observe path.

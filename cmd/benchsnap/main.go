@@ -133,9 +133,10 @@ func main() {
 }
 
 // defaultBenchRe is the committed trajectory set: the suite-level wall
-// benchmark (serial and parallel scheduler) plus the replay hot path with
-// observability off and on.
-const defaultBenchRe = "^(BenchmarkSuiteFig10|BenchmarkSuiteParallel|BenchmarkPipelineObsOff|BenchmarkPipelineObsOn)$"
+// benchmark (serial and parallel scheduler), the replay hot path with
+// observability off and on, and one replay rung per fusion machinery
+// (NoFusion, Helios, Oracle).
+const defaultBenchRe = "^(BenchmarkSuiteFig10|BenchmarkSuiteParallel|BenchmarkPipelineObsOff|BenchmarkPipelineObsOn|BenchmarkPipelineNoFusion|BenchmarkPipelineHelios|BenchmarkPipelineOracle)$"
 
 // parseInto scans `go test -bench` output. Benchmark result lines look
 // like:

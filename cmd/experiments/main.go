@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,26 +28,39 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command behind main: it parses args, writes the
+// tables to stdout and diagnostics to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		id       = flag.String("id", "", "experiment id ("+strings.Join(experiments.IDs(), ", ")+"); empty = all")
-		insts    = flag.Uint64("insts", 0, "instruction budget per run (0 = workload defaults)")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		worklist = flag.String("workloads", "", "comma-separated workload subset (default: all)")
-		metrics  = flag.Bool("metrics", false, "print record/replay trace-layer counters after the tables (deterministic: byte-identical across identical runs)")
-		walltime = flag.Bool("walltime", false, "also print wall-time breakdown to stderr (nondeterministic; includes per-cell walls and realized speedup)")
-		timeout  = flag.Duration("timeout", 0, "abort the whole suite after this wall time (0 = no limit)")
-		parallel = flag.Int("parallel", 0, "scheduler workers for the replay fan-out (0 = GOMAXPROCS, 1 = serial; output is byte-identical for every value)")
+		id       = fs.String("id", "", "experiment id ("+strings.Join(experiments.IDs(), ", ")+"); empty = all")
+		insts    = fs.Uint64("insts", 0, "instruction budget per run (0 = workload defaults)")
+		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		worklist = fs.String("workloads", "", "comma-separated workload subset (default: all)")
+		metrics  = fs.Bool("metrics", false, "print record/replay trace-layer counters after the tables (deterministic: byte-identical across identical runs)")
+		walltime = fs.Bool("walltime", false, "also print wall-time breakdown to stderr (nondeterministic; includes per-cell walls and realized speedup)")
+		timeout  = fs.Duration("timeout", 0, "abort the whole suite after this wall time (0 = no limit)")
+		parallel = fs.Int("parallel", 0, "scheduler workers for the replay fan-out (0 = GOMAXPROCS, 1 = serial; output is byte-identical for every value)")
 
-		obsDir      = flag.String("obs", "", "observed-suite mode: write per-workload pipeview/events/interval files into this directory and exit")
-		obsMode     = flag.String("obs-mode", "Helios", "fusion configuration for -obs runs")
-		obsInterval = flag.Uint64("obs-interval", 10000, "interval sampler period in cycles for -obs runs")
+		obsDir      = fs.String("obs", "", "observed-suite mode: write per-workload pipeview/events/interval files into this directory and exit")
+		obsMode     = fs.String("obs-mode", "Helios", "fusion configuration for -obs runs")
+		obsInterval = fs.Uint64("obs-interval", 10000, "interval sampler period in cycles for -obs runs")
 
-		manifestDir  = flag.String("manifest", "", "manifest mode: write one per-run JSON manifest per workload into this directory and exit (input for heliosreport)")
-		manifestMode = flag.String("manifest-mode", "Helios", "fusion configuration for -manifest runs")
+		manifestDir  = fs.String("manifest", "", "manifest mode: write one per-run JSON manifest per workload into this directory and exit (input for heliosreport)")
+		manifestMode = fs.String("manifest-mode", "Helios", "fusion configuration for -manifest runs")
 
-		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON scheduler timeline to this file (wall-clock data; quarantined from stdout, loadable in Perfetto)")
+		traceOut = fs.String("trace", "", "write a Chrome trace-event JSON scheduler timeline to this file (wall-clock data; quarantined from stdout, loadable in Perfetto)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -70,12 +84,12 @@ func main() {
 			suiteTrace.Finish()
 			f, err := os.Create(*traceOut)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
 			defer f.Close()
 			if err := telemetry.WriteChromeTrace(f, tracer.Finished()); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
 		}()
 	}
@@ -87,104 +101,97 @@ func main() {
 	}
 
 	if *obsDir != "" {
-		runObserved(ctx, h, *obsDir, *obsMode, *obsInterval)
-		return
+		return runObserved(ctx, h, stdout, stderr, *obsDir, *obsMode, *obsInterval)
 	}
 
 	if *manifestDir != "" {
 		m, ok := fusion.ModeByName(*manifestMode)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown -manifest-mode %q\n", *manifestMode)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "unknown -manifest-mode %q\n", *manifestMode)
+			return 1
 		}
 		if err := h.WriteManifests(ctx, *manifestDir, m); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			var se *ooo.SimError
-			if errors.As(err, &se) {
-				fmt.Fprintf(os.Stderr, "\ncrash dump:\n%s\n", se.JSON())
-			}
-			os.Exit(1)
+			return fail(stderr, "", err)
 		}
-		fmt.Printf("wrote %d manifests (%s) to %s\n", len(h.Workloads), m, *manifestDir)
-		return
+		fmt.Fprintf(stdout, "wrote %d manifests (%s) to %s\n", len(h.Workloads), m, *manifestDir)
+		return 0
 	}
 
-	emit := func(idName string) {
+	emit := func(idName string) error {
 		tbl, err := h.Run(ctx, idName)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", idName, err)
-			var se *ooo.SimError
-			if errors.As(err, &se) {
-				fmt.Fprintf(os.Stderr, "\ncrash dump:\n%s\n", se.JSON())
-			}
-			os.Exit(1)
+			return err
 		}
 		if *csv {
-			fmt.Printf("# %s\n%s\n", idName, tbl.CSV())
+			fmt.Fprintf(stdout, "# %s\n%s\n", idName, tbl.CSV())
 		} else {
-			fmt.Printf("%s\n", tbl)
+			fmt.Fprintf(stdout, "%s\n", tbl)
 		}
+		return nil
 	}
 
-	finish := func() {
-		if *metrics {
-			fmt.Printf("%s\n", h.MetricsTable())
-		}
-		if *walltime {
-			// Wall times are nondeterministic by nature; stderr keeps
-			// stdout byte-stable for diffing identical runs.
-			fmt.Fprintf(os.Stderr, "%s\n", h.WallTimeTable())
-		}
-	}
-
+	ids := experiments.IDs()
 	if *id != "" {
-		// A traced single-experiment run still warms through the
-		// scheduler so the timeline shows the parallel fan-out; the
-		// figure then reads the warmed cache.
-		if *traceOut != "" {
-			h.Suite.PrefetchN(ctx, h.Workloads, fusion.Modes, *parallel)
+		// One experiment: warm only the cells it reads, fanned across
+		// the -parallel workers; the figure then reads the warm cache.
+		ids = []string{*id}
+		h.Prefetch(ctx, *id)
+	} else {
+		// Warm the cache before printing everything, fanning
+		// workload×mode cells across the scheduler's workers.
+		h.Suite.PrefetchN(ctx, h.Workloads, fusion.Modes, *parallel)
+	}
+	for _, idName := range ids {
+		if err := emit(idName); err != nil {
+			return fail(stderr, idName+": ", err)
 		}
-		emit(*id)
-		finish()
-		return
 	}
-	// Warm the cache before printing everything, fanning workload×mode
-	// cells across the scheduler's workers.
-	h.Suite.PrefetchN(ctx, h.Workloads, fusion.Modes, *parallel)
-	for _, idName := range experiments.IDs() {
-		emit(idName)
+	if *metrics {
+		fmt.Fprintf(stdout, "%s\n", h.MetricsTable())
 	}
-	finish()
+	if *walltime {
+		// Wall times are nondeterministic by nature; stderr keeps
+		// stdout byte-stable for diffing identical runs.
+		fmt.Fprintf(stderr, "%s\n", h.WallTimeTable())
+	}
+	return 0
+}
+
+// fail reports a failed run on stderr, with the crash dump when the
+// engine failed, and returns the exit code.
+func fail(stderr io.Writer, prefix string, err error) int {
+	fmt.Fprintf(stderr, "%s%v\n", prefix, err)
+	var se *ooo.SimError
+	if errors.As(err, &se) {
+		fmt.Fprintf(stderr, "\ncrash dump:\n%s\n", se.JSON())
+	}
+	return 1
 }
 
 // runObserved is the -obs suite mode: one observed replay per workload,
 // each producing a Konata-loadable O3PipeView trace, an NDJSON event
 // stream and an interval CSV under dir.
-func runObserved(ctx context.Context, h *experiments.Harness, dir, modeName string, interval uint64) {
+func runObserved(ctx context.Context, h *experiments.Harness, stdout, stderr io.Writer, dir, modeName string, interval uint64) int {
 	m, ok := fusion.ModeByName(modeName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown -obs-mode %q\n", modeName)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "unknown -obs-mode %q\n", modeName)
+		return 1
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	for _, name := range h.Workloads {
-		if err := observeOne(ctx, h, dir, name, m, interval); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			var se *ooo.SimError
-			if errors.As(err, &se) {
-				fmt.Fprintf(os.Stderr, "\ncrash dump:\n%s\n", se.JSON())
-			}
-			os.Exit(1)
+		if err := observeOne(ctx, h, stdout, dir, name, m, interval); err != nil {
+			return fail(stderr, name+": ", err)
 		}
 	}
+	return 0
 }
 
 // observeOne runs a single observed replay, writing the three trace
 // files for one workload.
-func observeOne(ctx context.Context, h *experiments.Harness, dir, name string, m fusion.Mode, interval uint64) error {
+func observeOne(ctx context.Context, h *experiments.Harness, stdout io.Writer, dir, name string, m fusion.Mode, interval uint64) error {
 	pv, err := os.Create(filepath.Join(dir, name+".pipeview"))
 	if err != nil {
 		return err
@@ -210,7 +217,7 @@ func observeOne(ctx context.Context, h *experiments.Harness, dir, name string, m
 	if runErr != nil {
 		return runErr
 	}
-	fmt.Printf("%-14s %s/%v: %d insts, %d cycles, IPC %.3f\n",
+	fmt.Fprintf(stdout, "%-14s %s/%v: %d insts, %d cycles, IPC %.3f\n",
 		name, dir, m, r.Stats.CommittedInsts, r.Stats.Cycles, r.Stats.IPC())
 	return nil
 }

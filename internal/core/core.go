@@ -406,7 +406,7 @@ func (s *Suite) replayDegrade(ctx context.Context, w workloads.Workload, cfg ooo
 	// — rare enough that heliosd's tail sampler boosts traces carrying it
 	// (sampling.SpanBoost), so /tracez keeps evidence of degradations
 	// even under heavy healthy traffic.
-	sp := telemetry.FromContext(ctx).Start("degrade")
+	sp := telemetry.FromContext(ctx).StartLane("degrade", laneFrom(ctx))
 	sp.SetAttr("workload", w.Name)
 	fresh, ferr := s.repairRecording(ctx, w, budget, rec)
 	if ferr != nil {

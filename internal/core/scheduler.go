@@ -92,7 +92,7 @@ func (s *Suite) RunCells(ctx context.Context, cells []Cell, workers int) []CellR
 				sp.SetAttr("workload", c.Workload)
 				sp.SetAttr("mode", c.Mode.String())
 				t0 := time.Now() //helios:nondeterminism-ok wall-time metrics only; simulated results never read it
-				r, err := s.GetBudget(ctx, c.Workload, c.Mode, c.Budget)
+				r, err := s.GetBudget(withLane(ctx, tr, 1+worker), c.Workload, c.Mode, c.Budget)
 				out[i] = CellResult{Cell: c, Result: r, Err: err, Wall: time.Since(t0)}
 				sp.SetBool("err", err != nil)
 				sp.End()
@@ -127,4 +127,25 @@ func (s *Suite) PrefetchN(ctx context.Context, names []string, modes []fusion.Mo
 		}
 	}
 	s.RunCells(ctx, cells, workers)
+}
+
+// laneKey carries the trace lane of the RunCells worker running a cell,
+// so spans the cell opens deeper down (degrade) land on that worker's
+// lane, nested in its cell span, rather than on lane 0, where
+// concurrent cells would overlap.
+type laneKey struct{}
+
+// withLane tags ctx with a worker lane when a trace is attached; with
+// no trace it returns ctx unchanged and allocates nothing.
+func withLane(ctx context.Context, tr *telemetry.Trace, lane int) context.Context {
+	if tr == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, laneKey{}, lane)
+}
+
+// laneFrom returns the lane withLane set, or 0, the request's own lane.
+func laneFrom(ctx context.Context) int {
+	lane, _ := ctx.Value(laneKey{}).(int)
+	return lane
 }

@@ -57,6 +57,29 @@ func IDs() []string {
 	}
 }
 
+// cellModes lists, per experiment, the fusion modes whose workload×mode
+// cells it reads through Suite.Get. Experiments absent from the map read
+// no cells (trace analyses, the machine table, the storage budget).
+// TestPrefetchMatchesCellsRead pins each entry to what the figure reads.
+var cellModes = map[string][]fusion.Mode{
+	"fig2":   {fusion.ModeRISCVFusionPP},
+	"fig3":   {fusion.ModeNoFusion, fusion.ModeRISCVFusionPP, fusion.ModeCSFSBR},
+	"fig8":   {fusion.ModeHelios, fusion.ModeOracle},
+	"fig9":   {fusion.ModeNoFusion, fusion.ModeHelios, fusion.ModeOracle},
+	"fig10":  fusion.Modes,
+	"table3": {fusion.ModeHelios},
+}
+
+// Prefetch warms the cells experiment id reads, fanning them across
+// h.Parallel scheduler workers, so the figure itself only reads the
+// cache. It is a no-op for experiments that read no cells; the output
+// of a following Run is byte-identical with or without it.
+func (h *Harness) Prefetch(ctx context.Context, id string) {
+	if modes := cellModes[id]; len(modes) > 0 {
+		h.Suite.PrefetchN(ctx, h.Workloads, modes, h.Parallel)
+	}
+}
+
 // Run dispatches one experiment by identifier.
 func (h *Harness) Run(ctx context.Context, id string) (*stats.Table, error) {
 	switch id {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"testing"
 )
 
@@ -57,5 +58,44 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("WallTimeTable misses the realized-speedup row:\n%s", wt)
+	}
+}
+
+// TestPrefetchMatchesCellsRead pins cellModes to the figures: for every
+// experiment, a lone Prefetch must warm exactly the cells a cold Run
+// reads (no more, so `-id X -metrics` is unchanged by prefetching; no
+// fewer, so the figure never falls back to serial replays), and the Run
+// that follows it must render the same table and counters.
+func TestPrefetchMatchesCellsRead(t *testing.T) {
+	ctx := context.Background()
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			newHarness := func() *Harness {
+				h := New(3_000)
+				h.Workloads = []string{"crc32", "bitcount"}
+				h.Parallel = 2
+				return h
+			}
+			cold := newHarness()
+			coldTbl, err := cold.Run(ctx, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm := newHarness()
+			warm.Prefetch(ctx, id)
+			if got, want := fmt.Sprint(warm.Suite.CacheSnapshot()), fmt.Sprint(cold.Suite.CacheSnapshot()); got != want {
+				t.Fatalf("prefetch warmed %s, the figure reads %s", got, want)
+			}
+			warmTbl, err := warm.Run(ctx, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warmTbl.String() != coldTbl.String() {
+				t.Errorf("prefetched table differs:\n--- cold ---\n%s\n--- prefetched ---\n%s", coldTbl, warmTbl)
+			}
+			if got, want := warm.MetricsTable().String(), cold.MetricsTable().String(); got != want {
+				t.Errorf("prefetched -metrics differs:\n--- cold ---\n%s\n--- prefetched ---\n%s", want, got)
+			}
+		})
 	}
 }

@@ -6,10 +6,11 @@ import (
 
 // This file holds the hot-path memory-layout structures (DESIGN.md §13):
 // a free-list arena recycling pUop objects across the run, an event wheel
-// replacing the per-cycle completion map, and a pairing ring replacing the
-// oracle's tail-seq map. All three trade the general map/allocate idiom
-// for slice indexing keyed by cycle or sequence number, which the
-// simulator can afford because both keys are dense and bounded.
+// replacing the per-cycle completion map, a pairing ring replacing the
+// oracle's tail-seq map, and the age-ordered ready list the issue stage
+// selects from. All four trade the general map/allocate idiom for slice
+// indexing keyed by cycle or sequence number, which the simulator can
+// afford because both keys are dense and bounded.
 
 // uopArena recycles pUop objects. µ-ops are allocated in fixed-size
 // chunks (pointer stability: a pUop never moves once handed out) and
@@ -187,4 +188,94 @@ func (r *pairingRing) clear() {
 	for i := range r.slots {
 		r.slots[i].valid = false
 	}
+}
+
+// readyRef is one ready-list entry. The generation snapshot guards
+// against the µ-op being recycled; seq is the µ-op's seq at insertion,
+// so the list stays ordered without dereferencing a stale pointer.
+type readyRef struct {
+	u   *pUop
+	gen uint32
+	seq uint64
+}
+
+// readyList holds the issue candidates in age (seq) order: every
+// dispatched µ-op whose pendSrcs reached 0 joins it (at dispatch, on
+// wakeup, or when an unfuse retracts its last pending source), and
+// issueStage selects from it. Entries are filtered lazily like
+// event-wheel refs: a ref is live while its generation matches and the
+// µ-op is still dispatched with no pending sources; sweep drops the rest
+// once per cycle. pUop.inReady keeps at most one ref per incarnation.
+//
+// Bound: each ref names a distinct µ-op that is either in the IQ or was
+// issued earlier in the current walk (the sweep ending the walk drops
+// it), and flushFrom truncates the refs of killed µ-ops before they are
+// recycled. So the list never holds more refs than the IQ held µ-ops
+// when the current cycle's walk began (or holds now, outside the walk):
+// at most IQSize, the capacity New preallocates.
+type readyList struct {
+	refs []readyRef
+	// cur is issueStage's walk index (-1 outside the walk). An insertion
+	// at or before it shifts the current entry right, so cur follows it:
+	// the walk neither revisits an entry nor sees a µ-op older than its
+	// position, exactly as a scan over a start-of-cycle IQ snapshot would.
+	cur int
+}
+
+func newReadyList(capacity int) readyList {
+	return readyList{refs: make([]readyRef, 0, capacity), cur: -1}
+}
+
+// add inserts u in seq order unless this incarnation already has a ref.
+// The search runs from the young end: dispatch always appends, and
+// wakeups mostly land near it.
+func (l *readyList) add(u *pUop) {
+	if u.inReady {
+		return
+	}
+	u.inReady = true
+	i := len(l.refs)
+	for i > 0 && l.refs[i-1].seq > u.seq {
+		i--
+	}
+	//helios:hotalloc-ok capacity preallocated to IQSize in New; the list never holds more refs than the IQ holds µ-ops (readyList doc)
+	l.refs = append(l.refs, readyRef{})
+	copy(l.refs[i+1:], l.refs[i:])
+	l.refs[i] = readyRef{u: u, gen: u.gen, seq: u.seq}
+	if l.cur >= 0 && i <= l.cur {
+		l.cur++
+	}
+}
+
+// live reports whether r still names a dispatched µ-op with no pending
+// sources (an issue candidate).
+func (r readyRef) live() bool {
+	return r.u.gen == r.gen && r.u.st == stDispatched && r.u.pendSrcs == 0
+}
+
+// sweep drops every ref that is no longer live, keeping the order.
+func (l *readyList) sweep() {
+	n := 0
+	for _, r := range l.refs {
+		if r.live() {
+			l.refs[n] = r
+			n++
+		} else if r.u.gen == r.gen {
+			r.u.inReady = false
+		}
+	}
+	l.refs = l.refs[:n]
+}
+
+// truncate drops the refs at or past a flush point (the list is seq
+// ordered, so they are a suffix); the µ-ops they name were just killed.
+func (l *readyList) truncate(from uint64) {
+	n := len(l.refs)
+	for n > 0 && l.refs[n-1].seq >= from {
+		n--
+		if r := l.refs[n]; r.u.gen == r.gen {
+			r.u.inReady = false
+		}
+	}
+	l.refs = l.refs[:n]
 }

@@ -217,3 +217,56 @@ func TestPairingRingExactSeq(t *testing.T) {
 		t.Error("take after clear hit, want miss")
 	}
 }
+
+// TestReadyListOrderAndCursor pins the ready list's contract with the
+// issue walk: refs stay in seq order, an incarnation is listed once, an
+// insertion at or before the cursor moves the cursor with the current
+// entry (the walk neither revisits it nor reaches the older newcomer),
+// and sweep/truncate drop exactly the dead refs.
+func TestReadyListOrderAndCursor(t *testing.T) {
+	l := newReadyList(8)
+	mk := func(seq uint64) *pUop { return &pUop{seq: seq, st: stDispatched} }
+	u10, u20, u30 := mk(10), mk(20), mk(30)
+	l.add(u10)
+	l.add(u30)
+	l.add(u20)
+	l.add(u20) // already listed: no duplicate
+	seqs := func() []uint64 {
+		var out []uint64
+		for _, r := range l.refs {
+			out = append(out, r.seq)
+		}
+		return out
+	}
+	if got := seqs(); !reflect.DeepEqual(got, []uint64{10, 20, 30}) {
+		t.Fatalf("refs = %v, want [10 20 30]", got)
+	}
+
+	l.cur = 1 // the walk is at seq 20
+	l.add(mk(5))
+	if l.refs[l.cur].u != u20 {
+		t.Fatalf("cursor left seq 20 after an older insertion: at seq %d", l.refs[l.cur].seq)
+	}
+	l.add(mk(25)) // younger than the cursor: the walk will reach it
+	if l.refs[l.cur].u != u20 || l.refs[l.cur+1].seq != 25 {
+		t.Fatalf("younger insertion moved the cursor: refs %v, cur %d", seqs(), l.cur)
+	}
+	l.cur = -1
+
+	u20.st = stIssued
+	u30.gen++ // recycled while listed
+	l.sweep()
+	if got := seqs(); !reflect.DeepEqual(got, []uint64{5, 10, 25}) {
+		t.Fatalf("after sweep refs = %v, want [5 10 25]", got)
+	}
+	if u20.inReady {
+		t.Error("sweep left the issued µ-op marked listed")
+	}
+	l.truncate(10)
+	if got := seqs(); !reflect.DeepEqual(got, []uint64{5}) {
+		t.Fatalf("after truncate(10) refs = %v, want [5]", got)
+	}
+	if u10.inReady {
+		t.Error("truncate left a flushed µ-op marked listed")
+	}
+}

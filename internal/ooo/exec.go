@@ -8,26 +8,24 @@ import (
 // issueStage selects ready µ-ops oldest-first and sends them to the
 // execution ports: ALUPorts for ALU/branch/mul/div, LoadPorts for loads
 // (a fused load pair occupies a single port), StorePorts for stores.
+// Candidates come from the age-ordered ready list, walked by index: a
+// flush or unfuse triggered by an issue can kill entries or make another
+// µ-op ready mid-walk, and every field is re-read live (DESIGN.md §13.2).
 //
 //helios:hotpath issue-side per-cycle loop; must stay allocation-free (DESIGN.md §13)
 func (p *Pipeline) issueStage() {
 	p.resolveStoreAddresses()
 	alu, ld, st := p.cfg.ALUPorts, p.cfg.LoadPorts, p.cfg.StorePorts
-	// Iterate over a snapshot: issuing a µ-op can trigger a flush (fusion
-	// misprediction) that rewrites the IQ underneath us.
-	//helios:hotalloc-ok scratch snapshot reused every cycle; capacity reaches the IQ size once, then stays
-	p.iqScratch = append(p.iqScratch[:0], p.iq...)
-	for _, u := range p.iqScratch {
+	rl := &p.ready
+	for rl.cur = 0; rl.cur < len(rl.refs); rl.cur++ {
 		if alu == 0 && ld == 0 && st == 0 {
 			break
 		}
-		// The cheap not-ready rejects are inlined ahead of the canIssue
-		// call: most IQ entries fail one of these two on any given cycle,
-		// and both fields are re-read live (a flush or unfuse earlier in
-		// this same scan can change them).
-		if u.st != stDispatched || u.pendSrcs > 0 || !p.canIssue(u) {
+		r := rl.refs[rl.cur]
+		if !r.live() || !p.canIssue(r.u) {
 			continue
 		}
+		u := r.u
 		var port *int
 		switch {
 		case u.isLoad():
@@ -43,15 +41,8 @@ func (p *Pipeline) issueStage() {
 		*port--
 		p.issue(u)
 	}
-	// Compact: keep only µ-ops still waiting to issue.
-	n := 0
-	for _, u := range p.iq {
-		if u.st == stDispatched {
-			p.iq[n] = u
-			n++
-		}
-	}
-	p.iq = p.iq[:n]
+	rl.cur = -1
+	rl.sweep()
 }
 
 // resolveStoreAddresses models the separate store-address (STA) pipeline:
@@ -69,6 +60,7 @@ func (p *Pipeline) resolveStoreAddresses() {
 		lo, span := p.combinedRange(s)
 		s.memLo, s.memSpan = lo, span
 		s.addrKnown = true
+		p.cacheStoreAccesses(s)
 		p.storeSets.CompleteStore(s.r.PC, s.seq)
 		p.checkViolations(s)
 	}
@@ -116,18 +108,21 @@ func (p *Pipeline) loadMayIssue(u *pUop) bool {
 	lacc, ln := p.accesses(u)
 	u.forwarded = false
 	u.slowForward = false
-	// Youngest architectural position of this load: stores at or past it
-	// are skipped before their accesses are even decomposed (every inner
-	// comparison below would reject them anyway).
+	// Youngest architectural position of this load. The SQ is age
+	// ordered (appended at dispatch, filtered in place by flush and
+	// drain), so the first store at or past it ends the walk: every inner
+	// comparison below would reject it and all younger stores anyway.
 	maxSeq := lacc[ln-1].seq
 	if lacc[0].seq > maxSeq {
 		maxSeq = lacc[0].seq
 	}
 	for _, s := range p.sq {
-		if s.seq >= maxSeq || s.drainedGone() || s.st == stKilled {
+		if s.seq >= maxSeq {
+			break
+		}
+		if s.drainedGone() || s.st == stKilled {
 			continue
 		}
-		sacc, sn := p.accesses(s)
 		for li := 0; li < ln; li++ {
 			la := lacc[li]
 			if s.seq >= la.seq {
@@ -150,8 +145,8 @@ func (p *Pipeline) loadMayIssue(u *pUop) bool {
 				}
 				continue
 			}
-			for si := 0; si < sn; si++ {
-				sa := sacc[si]
+			for si := 0; si < int(s.sn); si++ {
+				sa := s.sacc[si]
 				if sa.seq >= la.seq {
 					continue // e.g. a store-pair tail younger than the load
 				}
@@ -197,6 +192,17 @@ func (p *Pipeline) combinedRange(u *pUop) (lo, span uint64) {
 		return ea1, uint64(sz1)
 	}
 	return uop.CombinedRange(ea1, sz1, ea2, sz2)
+}
+
+// cacheStoreAccesses snapshots a store's accesses() decomposition when
+// its address becomes known, so loadMayIssue and checkViolations do not
+// re-derive it for every candidate load. Unfusing a store pair changes
+// the decomposition, so unfuseInPlace refreshes it. (unfuseAtRename only
+// sees pending NCSF heads, whose address cannot be known yet.)
+func (p *Pipeline) cacheStoreAccesses(s *pUop) {
+	var n int
+	s.sacc, n = p.accesses(s)
+	s.sn = int8(n)
 }
 
 // access is one architectural memory access carried by a µ-op; fused pairs
@@ -262,6 +268,7 @@ func (p *Pipeline) issue(u *pUop) {
 		lo, span := p.combinedRange(u)
 		u.memLo, u.memSpan = lo, span
 		u.addrKnown = true
+		p.cacheStoreAccesses(u)
 		lat = 1 // address generation; the cache access happens at drain
 	default:
 		switch u.r.Inst.Op.Class() {
@@ -272,6 +279,7 @@ func (p *Pipeline) issue(u *pUop) {
 		}
 	}
 	u.st = stIssued
+	p.iqCount--
 	u.issuedAt = p.cycle
 	u.completeAt = p.cycle + uint64(lat)
 	p.events.schedule(u, u.completeAt, p.cycle)
@@ -331,6 +339,9 @@ func (p *Pipeline) wakeup(preg int32) {
 		}
 		if w.u.pendSrcs > 0 {
 			w.u.pendSrcs--
+			if w.u.pendSrcs == 0 && w.u.st == stDispatched {
+				p.ready.add(w.u)
+			}
 		}
 	}
 }
@@ -341,7 +352,7 @@ func (p *Pipeline) wakeup(preg int32) {
 // fused load pair is younger than its catalyst, so a catalyst store must
 // fault it even though the pair's LQ entry sits at the head's position.
 func (p *Pipeline) checkViolations(st *pUop) {
-	sacc, sn := p.accesses(st)
+	sacc, sn := st.sacc, int(st.sn)
 	var offender *pUop
 	for _, l := range p.lq {
 		if !l.addrKnown || l.st == stKilled || l.st == stDispatched {

@@ -68,6 +68,9 @@ func (p *Pipeline) flushFrom(from uint64) {
 			break
 		}
 		p.rob.popBack()
+		if u.st == stDispatched {
+			p.iqCount--
+		}
 		u.st = stKilled
 		ghrRestore, haveGhr = u.ghr, true
 		// The dispatch slot this µ-op claimed bought no retired work.
@@ -113,7 +116,7 @@ func (p *Pipeline) flushFrom(from uint64) {
 	}
 
 	// Filter the backend queues.
-	p.iq = filterLive(p.iq, from)
+	p.ready.truncate(from)
 	p.lq = filterLive(p.lq, from)
 	p.sq = filterLive(p.sq, from)
 
@@ -216,5 +219,11 @@ func (p *Pipeline) unfuseInPlace(u *pUop) {
 			u.srcPhys[slot] = invalidReg
 		}
 		u.numSrc = u.ownSrcs
+		if u.pendSrcs == 0 && u.st == stDispatched {
+			p.ready.add(u)
+		}
+	}
+	if u.addrKnown && u.isStore() {
+		p.cacheStoreAccesses(u)
 	}
 }

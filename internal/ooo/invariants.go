@@ -19,8 +19,8 @@ func (p *Pipeline) CheckInvariants() error {
 	if p.aq.len() > p.cfg.AQSize {
 		return fmt.Errorf("AQ occupancy %d > %d", p.aq.len(), p.cfg.AQSize)
 	}
-	if len(p.iq) > p.cfg.IQSize {
-		return fmt.Errorf("IQ occupancy %d > %d", len(p.iq), p.cfg.IQSize)
+	if p.iqCount > p.cfg.IQSize {
+		return fmt.Errorf("IQ occupancy %d > %d", p.iqCount, p.cfg.IQSize)
 	}
 	if len(p.lq) > p.cfg.LQSize {
 		return fmt.Errorf("LQ occupancy %d > %d", len(p.lq), p.cfg.LQSize)
@@ -80,11 +80,49 @@ func (p *Pipeline) CheckInvariants() error {
 		}
 	}
 
-	// Every IQ/LQ/SQ occupant is live and present in the ROB's range.
+	// The IQ counter matches the dispatched µ-ops, and the ready list is
+	// age ordered and complete: every dispatched µ-op with no pending
+	// source holds a live ref. Completeness is what makes issuing from
+	// the list equivalent to scanning the whole IQ.
+	dispatched := 0
+	for i := 0; i < p.rob.len(); i++ {
+		if p.rob.at(i).st == stDispatched {
+			dispatched++
+		}
+	}
+	if p.iqCount != dispatched {
+		return fmt.Errorf("IQ count %d != %d dispatched µ-ops", p.iqCount, dispatched)
+	}
+	inReady := make(map[*pUop]bool, len(p.ready.refs))
+	for i, r := range p.ready.refs {
+		if i > 0 && r.seq <= p.ready.refs[i-1].seq {
+			return fmt.Errorf("ready list out of order at %d: %d after %d",
+				i, r.seq, p.ready.refs[i-1].seq)
+		}
+		if r.live() {
+			inReady[r.u] = true
+		}
+	}
+	for i := 0; i < p.rob.len(); i++ {
+		u := p.rob.at(i)
+		if u.st == stDispatched && u.pendSrcs == 0 && !inReady[u] {
+			return fmt.Errorf("ready list misses dispatched µ-op seq=%d", u.seq)
+		}
+	}
+
+	// loadMayIssue stops its SQ walk at the first store at or past the
+	// load, which needs the SQ in age order.
+	for i := 1; i < len(p.sq); i++ {
+		if p.sq[i].seq <= p.sq[i-1].seq {
+			return fmt.Errorf("SQ out of order at %d: %d after %d", i, p.sq[i].seq, p.sq[i-1].seq)
+		}
+	}
+
+	// Every LQ/SQ occupant is live and present in the ROB's range.
 	for _, q := range []struct {
 		name string
 		s    []*pUop
-	}{{"IQ", p.iq}, {"LQ", p.lq}, {"SQ", p.sq}} {
+	}{{"LQ", p.lq}, {"SQ", p.sq}} {
 		for _, u := range q.s {
 			if u.st == stKilled {
 				return fmt.Errorf("%s holds killed µ-op seq=%d", q.name, u.seq)

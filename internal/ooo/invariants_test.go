@@ -76,9 +76,22 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		{"bad-pend-srcs", func(p *Pipeline) {
 			p.rob.push(&pUop{seq: 1, st: stDispatched, pendSrcs: 5, numSrc: 1})
 		}, "pendSrcs"},
-		{"iq-killed-uop", func(p *Pipeline) {
-			p.iq = append(p.iq, &pUop{seq: 1, st: stKilled})
-		}, "IQ holds killed"},
+		{"iq-count-mismatch", func(p *Pipeline) {
+			p.iqCount = 1 // no dispatched µ-op backs it
+		}, "IQ count"},
+		{"ready-missing", func(p *Pipeline) {
+			// Dispatched with every source ready, but never listed: the
+			// issue stage would never see it.
+			p.rob.push(&pUop{seq: 1, st: stDispatched})
+			p.iqCount = 1
+		}, "ready list misses"},
+		{"ready-out-of-order", func(p *Pipeline) {
+			p.ready.add(&pUop{seq: 5, st: stDispatched})
+			p.ready.refs = append(p.ready.refs, readyRef{u: &pUop{seq: 3, st: stDispatched}, seq: 3})
+		}, "ready list out of order"},
+		{"sq-out-of-order", func(p *Pipeline) {
+			p.sq = append(p.sq, &pUop{seq: 5, st: stDispatched}, &pUop{seq: 3, st: stDispatched})
+		}, "SQ out of order"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

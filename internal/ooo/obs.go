@@ -70,7 +70,7 @@ func (p *Pipeline) obsSample() {
 		LLCMisses:         c.LLCMisses,
 		Flushes:           p.st.Flushes,
 		ROBOcc:            uint64(p.rob.len()),
-		IQOcc:             uint64(len(p.iq)),
+		IQOcc:             uint64(p.iqCount),
 		LQOcc:             uint64(len(p.lq)),
 		SQOcc:             uint64(len(p.sq)),
 		AQOcc:             uint64(p.aq.len()),

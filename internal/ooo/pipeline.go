@@ -61,13 +61,15 @@ type Pipeline struct {
 	pendingNCSF []*pUop
 
 	// Backend. Completions are scheduled on the event wheel (slice
-	// indexed by cycle) rather than a map keyed by completion cycle.
-	rob       *uopRing
-	iq        []*pUop
-	iqScratch []*pUop
-	lq        []*pUop
-	sq        []*pUop
-	events    *eventWheel
+	// indexed by cycle) rather than a map keyed by completion cycle. The
+	// IQ is a counter (dispatched, not yet issued µ-ops) plus the ready
+	// list issueStage selects from; the SQ is age-ordered.
+	rob     *uopRing
+	iqCount int
+	ready   readyList
+	lq      []*pUop
+	sq      []*pUop
+	events  *eventWheel
 
 	// µ-op recycling (DESIGN.md §13): every pUop is drawn from and
 	// returned to the arena; deadUops is flushFrom's deferred-release
@@ -130,6 +132,7 @@ func New(cfg Config, src trace.Source) *Pipeline {
 		ras:          branch.NewRAS(cfg.RASSize),
 		aq:           newUopRing(cfg.AQSize),
 		rob:          newUopRing(cfg.ROBSize),
+		ready:        newReadyList(max(cfg.IQSize, 0)),
 		events:       newEventWheel(),
 		storeSets:    memdep.New(cfg.StoreSetLogSize, cfg.StoreSetLogSets),
 		plannedPairs: newPairingRing(cfg.PairCfg.MaxDist),

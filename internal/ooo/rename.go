@@ -228,7 +228,7 @@ func (p *Pipeline) tryAllocate(u *pUop) (bool, stallKind) {
 	if p.rob.full() {
 		return false, stallROB
 	}
-	if len(p.iq) >= p.cfg.IQSize {
+	if p.iqCount >= p.cfg.IQSize {
 		return false, stallIQ
 	}
 	if u.isLoad() && len(p.lq) >= p.cfg.LQSize {
@@ -462,7 +462,10 @@ func (p *Pipeline) removePendingNCSF(head *pUop) {
 func (p *Pipeline) dispatchUop(u *pUop) {
 	u.st = stDispatched
 	p.rob.push(u)
-	p.iq = append(p.iq, u)
+	p.iqCount++
+	if u.pendSrcs == 0 {
+		p.ready.add(u)
+	}
 	if u.isLoad() {
 		p.lq = append(p.lq, u)
 		if dep, ok := p.storeSets.DispatchLoad(u.r.PC); ok {

@@ -145,7 +145,7 @@ func (p *Pipeline) snapshot() Snapshot {
 		Mode:           p.cfg.Mode.String(),
 		ROB:            QueueSnap{p.rob.len(), p.cfg.ROBSize},
 		AQ:             QueueSnap{p.aq.len(), p.cfg.AQSize},
-		IQ:             QueueSnap{len(p.iq), p.cfg.IQSize},
+		IQ:             QueueSnap{p.iqCount, p.cfg.IQSize},
 		LQ:             QueueSnap{len(p.lq), p.cfg.LQSize},
 		SQ:             QueueSnap{len(p.sq), p.cfg.SQSize},
 		ROBHead:        describeUop(p.rob.front()),

@@ -72,14 +72,17 @@ type pUop struct {
 	ownSrcs  int8 // sources belonging to the head itself (low slots)
 	numDst   int8
 	pendSrcs int8 // sources not yet ready
+	inReady  bool // this incarnation holds a ready-list ref (dedup guard)
 
 	// Branch prediction outcome.
 	mispredicted bool
 
 	// Memory state.
 	inLQ, inSQ   bool
-	addrKnown    bool   // execute reached: EA(s) valid
-	memLo        uint64 // combined range start
+	addrKnown    bool      // execute reached: EA(s) valid
+	sacc         [2]access // store: accesses() cached once addrKnown is set
+	sn           int8      // store: valid entries in sacc
+	memLo        uint64    // combined range start
 	memSpan      uint64
 	forwarded    bool   // load served by store-to-load forwarding
 	slowForward  bool   // load replayed to merge a partial store overlap

@@ -45,6 +45,66 @@ type batchItem struct {
 	cfg    ooo.Config
 	custom bool           // custom machine: bypass the suite's default-config cache
 	done   chan batchDone // buffered; the executor never blocks on it
+
+	// mu orders the executor's spans on the request's trace against
+	// submit giving up, so every executor span nests inside the
+	// request's batch_wait. abandon ends an open record span itself (the
+	// record phase runs under the server context and opens nothing on
+	// this trace) and waits for an open replay, which fails fast on the
+	// dead context and may hold core spans such as degrade. Once
+	// abandoned, the executor skips the item's replay.
+	mu        sync.Mutex
+	abandoned bool
+	record    *telemetry.Span // open record span
+	replaying bool            // replay span open: the executor will send on done
+}
+
+// beginRecord opens the item's record span unless the request gave up.
+func (it *batchItem) beginRecord(size int) {
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	if !it.abandoned {
+		it.record = telemetry.FromContext(it.ctx).Start("record")
+		it.record.SetInt("batch_size", int64(size))
+	}
+}
+
+// endRecord closes the record span, unless abandon already closed it.
+func (it *batchItem) endRecord(failed bool) {
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	it.record.SetBool("err", failed)
+	it.record.End()
+	it.record = nil
+}
+
+// beginReplay opens the item's replay span and reports true, or reports
+// false if the request already gave up and the replay should be skipped.
+func (it *batchItem) beginReplay() (*telemetry.Span, bool) {
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	if it.abandoned {
+		return nil, false
+	}
+	it.replaying = true
+	sp := telemetry.FromContext(it.ctx).Start("replay")
+	sp.SetBool("custom", it.custom)
+	return sp, true
+}
+
+// abandon is submit's side of a dead request context. It returns once no
+// executor span is open on the request's trace.
+func (it *batchItem) abandon() {
+	it.mu.Lock()
+	it.abandoned = true
+	it.record.SetAttr("abandoned", "true")
+	it.record.End()
+	it.record = nil
+	replaying := it.replaying
+	it.mu.Unlock()
+	if replaying {
+		<-it.done // sent right after the replay span ends
+	}
 }
 
 type batchDone struct {
@@ -105,9 +165,11 @@ func (b *batcher) submit(ctx context.Context, workload string, budget uint64, cf
 		bw.End()
 		return d.res, d.size, d.err
 	case <-ctx.Done():
-		// The batch still runs; this item's replay fails fast on its own
-		// dead context and the executor's send lands in the buffered
-		// channel, so nothing leaks.
+		// The batch still runs. abandon waits out a replay already in
+		// flight (it fails fast on the dead context) or stops the
+		// executor from starting one; the executor's send lands in the
+		// buffered channel either way, so nothing leaks.
+		item.abandon()
 		bw.SetAttr("abandoned", "true")
 		bw.End()
 		return nil, 0, ctx.Err()
@@ -142,15 +204,12 @@ func (b *batcher) execute(key groupKey, g *batchGroup) {
 	// Every item in the batch shares one record phase: each request's
 	// trace gets its own "record" span over the shared work, so one
 	// trace file tells the whole story of what its request waited on.
-	recs := make([]*telemetry.Span, len(g.items))
-	for i, item := range g.items {
-		recs[i] = telemetry.FromContext(item.ctx).Start("record")
-		recs[i].SetInt("batch_size", int64(size))
+	for _, item := range g.items {
+		item.beginRecord(size)
 	}
 	_, recErr := b.suite.RecordingBudget(b.baseCtx, key.workload, key.budget)
-	for _, sp := range recs {
-		sp.SetBool("err", recErr != nil)
-		sp.End()
+	for _, item := range g.items {
+		item.endRecord(recErr != nil)
 	}
 	if recErr != nil {
 		for _, item := range g.items {
@@ -163,8 +222,11 @@ func (b *batcher) execute(key groupKey, g *batchGroup) {
 		wg.Add(1)
 		go func(item *batchItem) {
 			defer wg.Done()
-			sp := telemetry.FromContext(item.ctx).Start("replay")
-			sp.SetBool("custom", item.custom)
+			sp, ok := item.beginReplay()
+			if !ok {
+				item.done <- batchDone{err: item.ctx.Err(), size: size}
+				return
+			}
 			var (
 				res *core.Result
 				err error
