@@ -31,6 +31,7 @@ race:
 fuzz-short:
 	$(GO) test -fuzz=FuzzReadFrom -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzPipelineModesAgree -fuzztime=30s ./internal/ooo
+	$(GO) test -fuzz=FuzzObsEncoding -fuzztime=30s ./internal/obs
 
 experiments-smoke:
 	$(GO) run ./cmd/experiments -id fig2 -insts 2000 -metrics

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -192,24 +193,29 @@ func runObserved(ctx context.Context, h *experiments.Harness, stdout, stderr io.
 // observeOne runs a single observed replay, writing the three trace
 // files for one workload.
 func observeOne(ctx context.Context, h *experiments.Harness, stdout io.Writer, dir, name string, m fusion.Mode, interval uint64) error {
-	pv, err := os.Create(filepath.Join(dir, name+".pipeview"))
-	if err != nil {
-		return err
+	// One buffered sink per stream, in pipeview, events, interval order:
+	// the observer writes one record per µ-op.
+	var (
+		files []*os.File
+		sinks []*bufio.Writer
+	)
+	for _, ext := range []string{".pipeview", ".events.ndjson", ".intervals.csv"} {
+		f, err := os.Create(filepath.Join(dir, name+ext))
+		if err != nil {
+			for _, f := range files {
+				f.Close()
+			}
+			return err
+		}
+		files = append(files, f)
+		sinks = append(sinks, bufio.NewWriter(f))
 	}
-	evf, err := os.Create(filepath.Join(dir, name+".events.ndjson"))
-	if err != nil {
-		pv.Close()
-		return err
-	}
-	mf, err := os.Create(filepath.Join(dir, name+".intervals.csv"))
-	if err != nil {
-		pv.Close()
-		evf.Close()
-		return err
-	}
-	ob := &obs.Observer{PipeView: pv, Events: evf, Metrics: mf, SampleEvery: interval}
+	ob := &obs.Observer{PipeView: sinks[0], Events: sinks[1], Metrics: sinks[2], SampleEvery: interval}
 	r, runErr := h.Observe(ctx, name, m, ob)
-	for _, f := range []*os.File{pv, evf, mf} {
+	for i, f := range files {
+		if ferr := sinks[i].Flush(); ferr != nil && runErr == nil {
+			runErr = ferr
+		}
 		if cerr := f.Close(); cerr != nil && runErr == nil {
 			runErr = cerr
 		}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -168,17 +169,22 @@ func main() {
 		os.Exit(1)
 	}
 	cfg := ooo.DefaultConfig(m)
-	var ob *obs.Observer
+	var (
+		ob      *obs.Observer
+		closers []func() error
+	)
 	if obsOn {
-		var closers []func() error
 		ob = &obs.Observer{SampleEvery: *interval}
-		open := func(path string) *os.File {
+		// Each trace file is buffered: the observer writes one record
+		// per µ-op, which unbuffered would be one write(2) each.
+		open := func(path string) *bufio.Writer {
 			f, err := os.Create(path)
 			if err != nil {
 				fatal(err)
 			}
-			closers = append(closers, f.Close)
-			return f
+			bw := bufio.NewWriter(f)
+			closers = append(closers, bw.Flush, f.Close)
+			return bw
 		}
 		if *pipeview != "" {
 			ob.PipeView = open(*pipeview)
@@ -189,13 +195,6 @@ func main() {
 		if *intervalCSV != "" {
 			ob.Metrics = open(*intervalCSV)
 		}
-		defer func() {
-			for _, c := range closers {
-				if err := c(); err != nil {
-					fmt.Fprintf(os.Stderr, "closing trace output: %v\n", err)
-				}
-			}
-		}()
 		cfg.Obs = ob
 	}
 	var (
@@ -206,6 +205,13 @@ func main() {
 		r, err = core.RunSource(ctx, name, cfg, rec.Replay(), 0)
 	} else {
 		r, err = core.RunConfig(ctx, w, cfg, *insts)
+	}
+	// Flush and close the trace files before any exit, so a failed run
+	// still leaves the records written up to the failure.
+	for _, c := range closers {
+		if cerr := c(); cerr != nil {
+			fmt.Fprintf(os.Stderr, "closing trace output: %v\n", cerr)
+		}
 	}
 	if err != nil {
 		fatal(err)

@@ -9,7 +9,7 @@ import (
 
 // statsSurfaceMethods are the method names recognized as a stats
 // struct's reporting surface: the enumerations that feed JSON dumps,
-// tables and CLIs, the Header/Row pair used by CSV time-series
+// tables and CLIs, the AppendRow encoder used by CSV time-series
 // emitters (the obs interval sampler), and the WallRows enumeration the
 // suite scheduler uses for its nondeterministic wall-time half. A
 // counter that is incremented by the pipeline but missing from every
@@ -18,18 +18,18 @@ import (
 // any test.
 var statsSurfaceMethods = map[string]bool{
 	"Rows": true, "Dump": true, "DumpJSON": true, "MarshalJSON": true,
-	"Header": true, "Row": true, "WallRows": true,
+	"AppendRow": true, "WallRows": true,
 }
 
 // StatsComplete checks that every exported numeric field of a *Stats or
 // *Metrics struct is reachable from the struct's dump surface (a Rows/
-// Dump/DumpJSON/MarshalJSON/Header/Row/WallRows method, including the
+// Dump/DumpJSON/MarshalJSON/AppendRow/WallRows method, including the
 // methods those call on the same type). Fields tagged `json:"-"` are
 // deliberately unreported and exempt.
 var StatsComplete = &Analyzer{
 	Name: "statscomplete",
 	Doc: "every exported numeric field of a *Stats or *Metrics struct must be " +
-		"referenced from its dump surface (Rows/Dump/DumpJSON/MarshalJSON/Header/Row/WallRows)",
+		"referenced from its dump surface (Rows/Dump/DumpJSON/MarshalJSON/AppendRow/WallRows)",
 	Run: runStatsComplete,
 }
 
@@ -83,7 +83,7 @@ func (p *Pass) checkStatsType(typeName string, st *ast.StructType) {
 	}
 	reached, haveSurface := p.surfaceFieldRefs(typeName)
 	if !haveSurface {
-		p.Reportf(st.Pos(), "%s has exported numeric counters but no dump surface: add a Rows/Dump/DumpJSON/MarshalJSON/Header/Row/WallRows method enumerating every field", typeName)
+		p.Reportf(st.Pos(), "%s has exported numeric counters but no dump surface: add a Rows/Dump/DumpJSON/MarshalJSON/AppendRow/WallRows method enumerating every field", typeName)
 		return
 	}
 	for _, f := range fields {

@@ -47,8 +47,8 @@ func (s *SumStats) Rows() [][2]string {
 	return [][2]string{{"total", strconv.FormatUint(s.total(), 10)}}
 }
 
-// SeriesStats dumps through the CSV time-series surface (Header/Row, as
-// the obs interval sampler does). Samples is referenced from Row, but
+// SeriesStats dumps through the CSV time-series surface (AppendRow, as
+// the obs interval sampler does). Samples is referenced from AppendRow, but
 // Drops never reaches any surface.
 type SeriesStats struct {
 	Cycle   uint64
@@ -56,13 +56,11 @@ type SeriesStats struct {
 	Drops   uint64 // want "SeriesStats.Drops is never referenced"
 }
 
-func (s SeriesStats) Header() []string { return []string{"cycle", "samples"} }
-
-func (s SeriesStats) Row(prev SeriesStats) []string {
-	return []string{
-		strconv.FormatUint(s.Cycle, 10),
-		strconv.FormatUint(s.Samples-prev.Samples, 10),
-	}
+func (s SeriesStats) AppendRow(b []byte, prev SeriesStats) []byte {
+	b = strconv.AppendUint(b, s.Cycle, 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, s.Samples-prev.Samples, 10)
+	return append(b, '\n')
 }
 
 // WaitAgg is a pure counter aggregate (the shape of stats.Histogram and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,27 +64,36 @@ func goldenRecording(t *testing.T) *trace.Recording {
 func observedRun(t *testing.T, rec *trace.Recording) (pipeview, events, metrics []byte) {
 	t.Helper()
 	var pv, ev, m bytes.Buffer
-	ob := &obs.Observer{PipeView: &pv, Events: &ev, Metrics: &m, SampleEvery: 64}
+	runObserved(t, rec, &obs.Observer{PipeView: &pv, Events: &ev, Metrics: &m, SampleEvery: 64})
+	return pv.Bytes(), ev.Bytes(), m.Bytes()
+}
+
+// runObserved replays rec under the golden configuration with ob
+// attached (nil runs unobserved) and returns the retired µ-op count.
+func runObserved(t testing.TB, rec *trace.Recording, ob *obs.Observer) uint64 {
+	t.Helper()
 	cfg := ooo.DefaultConfig(fusion.ModeHelios)
 	cfg.Obs = ob
 	// Seeded chaos flushes give the trace deterministic squash records.
 	cfg.ChaosFlushInterval = 60
 	cfg.ChaosSeed = 7
-	if _, err := ooo.New(cfg, rec.Replay()).Run(); err != nil {
+	st, err := ooo.New(cfg, rec.Replay()).Run()
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if err := ob.Err(); err != nil {
-		t.Fatalf("observer: %v", err)
+	if ob != nil {
+		if err := ob.Err(); err != nil {
+			t.Fatalf("observer: %v", err)
+		}
 	}
-	return pv.Bytes(), ev.Bytes(), m.Bytes()
+	return st.CommittedUops
 }
 
-// TestPipeViewGolden pins the O3PipeView export byte-for-byte. The
-// golden file is committed; `go test ./internal/obs -run Golden -update`
-// regenerates it after an intentional format or model change.
-func TestPipeViewGolden(t *testing.T) {
-	got, _, _ := observedRun(t, goldenRecording(t))
-	path := filepath.Join("testdata", "pipeview.golden")
+// checkGolden compares got with testdata/name byte-for-byte, rewriting
+// the file first under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatalf("update golden: %v", err)
@@ -94,9 +104,53 @@ func TestPipeViewGolden(t *testing.T) {
 		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("O3PipeView output drifted from the golden file (%d vs %d bytes):\n%s\n"+
+		t.Fatalf("%s output drifted from the golden file (%d vs %d bytes):\n%s\n"+
 			"re-run with -update if the change is intentional",
-			len(got), len(want), firstDiff(got, want))
+			name, len(got), len(want), firstDiff(got, want))
+	}
+}
+
+// TestPipeViewGolden pins the O3PipeView export byte-for-byte. The
+// golden files are committed; `go test ./internal/obs -run Golden
+// -update` regenerates them after an intentional format or model
+// change.
+func TestPipeViewGolden(t *testing.T) {
+	got, _, _ := observedRun(t, goldenRecording(t))
+	checkGolden(t, "pipeview.golden", got)
+}
+
+// TestEventsGolden pins the NDJSON event stream byte-for-byte.
+func TestEventsGolden(t *testing.T) {
+	_, got, _ := observedRun(t, goldenRecording(t))
+	checkGolden(t, "events.golden", got)
+}
+
+// TestIntervalsGolden pins the interval CSV byte-for-byte.
+func TestIntervalsGolden(t *testing.T) {
+	_, _, got := observedRun(t, goldenRecording(t))
+	checkGolden(t, "intervals.golden", got)
+}
+
+// TestIntervalOnlySkipsEvents checks that an observer with only the
+// interval CSV attached writes the same series as a fully observed run
+// and costs no per-µ-op allocations: the pipeline must not build
+// events (or disassemble) for streams nobody reads.
+func TestIntervalOnlySkipsEvents(t *testing.T) {
+	rec := goldenRecording(t)
+	var m bytes.Buffer
+	runObserved(t, rec, &obs.Observer{Metrics: &m, SampleEvery: 64})
+	checkGolden(t, "intervals.golden", m.Bytes())
+
+	var uops uint64
+	off := testing.AllocsPerRun(5, func() { uops = runObserved(t, rec, nil) })
+	on := testing.AllocsPerRun(5, func() {
+		runObserved(t, rec, &obs.Observer{Metrics: io.Discard, SampleEvery: 64})
+	})
+	// The observer itself and its one encode buffer are the only
+	// allocations allowed beyond the unobserved run.
+	if on > off+4 {
+		t.Errorf("interval-only run allocated %.0f times, unobserved %.0f (%d µ-ops retired): "+
+			"want no per-µ-op cost", on, off, uops)
 	}
 }
 

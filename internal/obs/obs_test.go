@@ -2,7 +2,13 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -155,4 +161,183 @@ func TestStickyError(t *testing.T) {
 	if w.n != n {
 		t.Errorf("observer kept writing after error: %d -> %d writes", n, w.n)
 	}
+}
+
+// TestObserverRetireNoAllocs pins the observed path's allocation
+// contract: once its encode buffer has grown, an Observer writing every
+// stream allocates nothing per record.
+func TestObserverRetireNoAllocs(t *testing.T) {
+	o := &Observer{PipeView: io.Discard, Events: io.Discard, Metrics: io.Discard, SampleEvery: 1}
+	ev := sampleEvent()
+	s := IntervalStats{Cycle: 100, Insts: 80, TDRetiring: 5}
+	o.Retire(ev)
+	o.Sample(s)
+	allocs := testing.AllocsPerRun(200, func() {
+		o.Retire(ev)
+		o.Squash(ev)
+		o.Sample(s)
+	})
+	if allocs != 0 {
+		t.Errorf("warmed observer allocated %.1f times per record, want 0", allocs)
+	}
+	if err := o.Err(); err != nil {
+		t.Fatalf("Err() = %v", err)
+	}
+}
+
+// pipeViewFormat is the O3PipeView record as fmt.Fprintf rendered it
+// before the append encoder replaced it: the oracle FuzzObsEncoding
+// holds appendPipeView to.
+const pipeViewFormat = "O3PipeView:fetch:%d:0x%08x:0:%d:%s\n" +
+	"O3PipeView:decode:%d\n" +
+	"O3PipeView:rename:%d\n" +
+	"O3PipeView:dispatch:%d\n" +
+	"O3PipeView:issue:%d\n" +
+	"O3PipeView:complete:%d\n" +
+	"O3PipeView:retire:%d:store:0\n"
+
+func oraclePipeView(ev *Event, sn uint64) string {
+	return fmt.Sprintf(pipeViewFormat, ev.Fetch, ev.PC, sn, ev.Disasm,
+		ev.Decode, ev.Rename, ev.Dispatch, ev.Issue, ev.Complete, ev.Retire)
+}
+
+// oracleHeader and oracleRow are the interval CSV as the []string
+// Header/Row API rendered it before AppendRow replaced it.
+var oracleHeader = []string{
+	"cycle", "insts", "ipc_milli", "uops", "mem_pairs", "idioms",
+	"fp_predictions", "fp_mispredicts", "branches", "branch_mispredicts",
+	"mpki_milli", "btb_misses", "l1d_misses", "l2_misses", "llc_misses",
+	"flushes", "rob_occ", "iq_occ", "lq_occ", "sq_occ", "aq_occ",
+	"td_retiring", "td_fused_retiring", "td_frontend_lat", "td_frontend_bw",
+	"td_bad_spec", "td_backend_core", "td_backend_mem",
+}
+
+func oracleRow(s, prev IntervalStats) string {
+	dCycles := s.Cycle - prev.Cycle
+	dInsts := s.Insts - prev.Insts
+	var ipcMilli, mpkiMilli uint64
+	if dCycles > 0 {
+		ipcMilli = dInsts * 1000 / dCycles
+	}
+	if dInsts > 0 {
+		mpkiMilli = (s.BranchMispredicts - prev.BranchMispredicts) * 1000000 / dInsts
+	}
+	cols := []uint64{
+		s.Cycle, dInsts, ipcMilli, s.Uops - prev.Uops, s.MemPairs - prev.MemPairs,
+		s.Idioms - prev.Idioms, s.FusionPredictions - prev.FusionPredictions,
+		s.FusionMispredicts - prev.FusionMispredicts, s.Branches - prev.Branches,
+		s.BranchMispredicts - prev.BranchMispredicts, mpkiMilli,
+		s.BTBMisses - prev.BTBMisses, s.L1DMisses - prev.L1DMisses,
+		s.L2Misses - prev.L2Misses, s.LLCMisses - prev.LLCMisses,
+		s.Flushes - prev.Flushes, s.ROBOcc, s.IQOcc, s.LQOcc, s.SQOcc, s.AQOcc,
+	}
+	var out []string
+	for _, v := range cols {
+		out = append(out, fmt.Sprint(v))
+	}
+	sd := func(cur, prev uint64) string { return strconv.FormatInt(int64(cur-prev), 10) }
+	out = append(out,
+		sd(s.TDRetiring, prev.TDRetiring),
+		sd(s.TDFusedRetiring, prev.TDFusedRetiring),
+		sd(s.TDFrontendLat, prev.TDFrontendLat),
+		sd(s.TDFrontendBW, prev.TDFrontendBW),
+		sd(s.TDBadSpec, prev.TDBadSpec),
+		sd(s.TDBackendCore, prev.TDBackendCore),
+		sd(s.TDBackendMem, prev.TDBackendMem),
+	)
+	return strings.Join(out, ",") + "\n"
+}
+
+// fuzzValues deals field values out of a fuzz input. A quarter of the
+// draws are zero (so omitempty fields are both present and absent) and
+// the rest span small to full-width numbers; past the input's end every
+// draw is zero.
+type fuzzValues []byte
+
+func (v *fuzzValues) next() uint64 {
+	var w [8]byte
+	n := copy(w[:], *v)
+	*v = (*v)[n:]
+	x := binary.LittleEndian.Uint64(w[:])
+	switch x % 4 {
+	case 0:
+		return 0
+	case 1:
+		return x >> 40
+	case 2:
+		return x >> 8
+	}
+	return x
+}
+
+// fill sets every field of the struct rv points to: numbers and bools
+// from v, strings from strs in turn. Reflection keeps a field added to
+// Event or IntervalStats inside the fuzz test's reach.
+func (v *fuzzValues) fill(rv reflect.Value, strs ...string) {
+	rv = rv.Elem()
+	si := 0
+	for i := 0; i < rv.NumField(); i++ {
+		f := rv.Field(i)
+		switch f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(v.next())
+		case reflect.Int:
+			f.SetInt(int64(v.next()))
+		case reflect.Bool:
+			f.SetBool(v.next()&1 == 1)
+		case reflect.String:
+			f.SetString(strs[si%len(strs)])
+			si++
+		default:
+			panic("fuzzValues.fill: unhandled field kind " + f.Kind().String())
+		}
+	}
+}
+
+// FuzzObsEncoding holds the append encoders to their oracles: for any
+// Event the NDJSON line is exactly json.Marshal(ev) plus a newline and
+// the O3PipeView record exactly the fmt.Fprintf rendering, and for any
+// pair of snapshots the interval row is the fmt.Sprint/FormatInt
+// rendering, wrapped signed top-down deltas included.
+func FuzzObsEncoding(f *testing.F) {
+	f.Add([]byte{}, "", "", "")
+	f.Add([]byte("\x07\x00\x00\x00\x00\x00\x00\x00\x11\x00\x00\x80"), "ld a0, 0(a1)", "ldp", "sameline")
+	f.Add(bytes.Repeat([]byte{0xff, 0x3f, 0x81, 0x02}, 80), `<a & "b">\`, "\x00\x1f\x7f", "  ")
+	f.Add(bytes.Repeat([]byte{0xfe, 0xff}, 200), "\xff\xfe\xc3", "é\u2028\u2029", "\t\n\r")
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, "R&D", `say "hi"`, "a<b")
+	f.Add([]byte{0x7f}, "a>b", `a\b`, "\x7f")
+	f.Fuzz(func(t *testing.T, data []byte, s1, s2, s3 string) {
+		vals := fuzzValues(data)
+		var ev Event
+		vals.fill(reflect.ValueOf(&ev), s1, s2, s3)
+		var s, prev IntervalStats
+		vals.fill(reflect.ValueOf(&prev))
+		vals.fill(reflect.ValueOf(&s))
+
+		var pv, events, metrics bytes.Buffer
+		o := &Observer{PipeView: &pv, Events: &events, Metrics: &metrics}
+		o.Retire(&ev)
+		o.Squash(&ev)
+		o.Sample(prev)
+		o.Sample(s)
+		if err := o.Err(); err != nil {
+			t.Fatalf("Err() = %v", err)
+		}
+
+		if want := oraclePipeView(&ev, 1) + oraclePipeView(&ev, 2); pv.String() != want {
+			t.Errorf("pipeview:\n%q\nwant:\n%q", pv.String(), want)
+		}
+		j, err := json.Marshal(&ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := string(j) + "\n" + string(j) + "\n"; events.String() != want {
+			t.Errorf("events:\n%q\nwant:\n%q", events.String(), want)
+		}
+		want := strings.Join(oracleHeader, ",") + "\n" +
+			oracleRow(prev, IntervalStats{}) + oracleRow(s, prev)
+		if metrics.String() != want {
+			t.Errorf("interval csv:\n%q\nwant:\n%q", metrics.String(), want)
+		}
+	})
 }

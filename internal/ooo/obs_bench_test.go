@@ -1,12 +1,14 @@
 package ooo
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
 	"helios/internal/asm"
 	"helios/internal/emu"
 	"helios/internal/fusion"
+	"helios/internal/isa"
 	"helios/internal/obs"
 	"helios/internal/trace"
 )
@@ -76,5 +78,21 @@ func TestCommitObsOffNoAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() { p.accountCommit(u) })
 	if allocs != 0 {
 		t.Errorf("accountCommit with obs disabled allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestDisasmCacheChecksInst pins the per-PC disassembly cache: a PC
+// that holds two different instructions in turn must render each one,
+// not the one cached first.
+func TestDisasmCacheChecksInst(t *testing.T) {
+	p := New(DefaultConfig(fusion.ModeNoFusion), trace.Func(func() (emu.Retired, bool) {
+		return emu.Retired{}, false
+	}))
+	a := emu.Retired{PC: 0x1000, Inst: isa.Inst{Op: isa.OpADDI, Rd: 10, Rs1: 10, Imm: 1}}
+	b := emu.Retired{PC: 0x1000, Inst: isa.Inst{Op: isa.OpLD, Rd: 11, Rs1: 2, Imm: 8}}
+	for _, r := range []emu.Retired{a, b, a, a, b} {
+		if got, want := p.disasm(&r), fmt.Sprint(r.Inst); got != want {
+			t.Errorf("disasm at %#x = %q, want %q", r.PC, got, want)
+		}
 	}
 }

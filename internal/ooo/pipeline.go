@@ -103,10 +103,13 @@ type Pipeline struct {
 
 	// Observability (cfg.Obs; nil when disabled). flushedAt/flushPending
 	// feed the flush-recovery latency histogram: armed by flushFrom,
-	// observed at the next commit.
+	// observed at the next commit. disasmCache maps a static PC to its
+	// rendered instruction; made on the first traced µ-op, so it stays
+	// nil unless an observer with a per-µ-op stream is attached.
 	obs          *obs.Observer
 	flushedAt    uint64
 	flushPending bool
+	disasmCache  map[uint64]disasmEntry
 
 	// Top-down accounting state (DESIGN.md §12): tdRecovering marks
 	// rename-idle cycles after a flush as squash recovery until the
