@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race fuzz-short experiments-smoke perfbench obs-smoke report-smoke bench-smoke bench-snapshot serve-smoke telemetry-smoke
+.PHONY: all build lint test race soak fuzz-short experiments-smoke perfbench obs-smoke report-smoke bench-smoke bench-snapshot serve-smoke telemetry-smoke
 
 all: build lint test
 
@@ -26,6 +26,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Matches the CI soak step: the heliosd chaos soak, ten times under the
+# race detector, with its span-balance audit checked once per run.
+soak:
+	$(GO) test -race -count=10 -run TestServiceSoak ./internal/serve
 
 # Matches the CI fuzz job budgets.
 fuzz-short:

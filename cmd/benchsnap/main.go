@@ -70,7 +70,7 @@ func main() {
 		benchRe   = flag.String("bench", defaultBenchRe, "go test -bench regexp")
 		benchtime = flag.String("benchtime", "3x", "go test -benchtime value")
 		count     = flag.Int("count", 1, "go test -count; best (min ns/op) run is kept")
-		pkgSpec   = flag.String("pkgs", ". ./internal/ooo", "space-separated package patterns to benchmark")
+		pkgSpec   = flag.String("pkgs", ". ./internal/ooo ./internal/serve", "space-separated package patterns to benchmark")
 		diff      = flag.String("diff", "", "optional: print a comparison against this previous snapshot")
 	)
 	flag.Parse()
@@ -134,9 +134,10 @@ func main() {
 
 // defaultBenchRe is the committed trajectory set: the suite-level wall
 // benchmark (serial and parallel scheduler), the replay hot path with
-// observability off and on, and one replay rung per fusion machinery
-// (NoFusion, Helios, Oracle).
-const defaultBenchRe = "^(BenchmarkSuiteFig10|BenchmarkSuiteParallel|BenchmarkPipelineObsOff|BenchmarkPipelineObsOn|BenchmarkPipelineNoFusion|BenchmarkPipelineHelios|BenchmarkPipelineOracle)$"
+// observability off and on, one replay rung per fusion machinery
+// (NoFusion, Helios, Oracle), and heliosd request latency over HTTP
+// (BenchmarkServeRun: hit, miss, obs).
+const defaultBenchRe = "^(BenchmarkSuiteFig10|BenchmarkSuiteParallel|BenchmarkPipelineObsOff|BenchmarkPipelineObsOn|BenchmarkPipelineNoFusion|BenchmarkPipelineHelios|BenchmarkPipelineOracle|BenchmarkServeRun)$"
 
 // parseInto scans `go test -bench` output. Benchmark result lines look
 // like:

@@ -25,13 +25,13 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
 
+	"helios/internal/flight"
 	"helios/internal/fusion"
 	"helios/internal/obs"
 	"helios/internal/ooo"
@@ -127,12 +127,6 @@ func RunSource(ctx context.Context, name string, cfg ooo.Config, src trace.Sourc
 	return &Result{Workload: name, Mode: cfg.Mode, Stats: *st}, nil
 }
 
-// isCtxErr reports whether err is a cancellation/deadline failure —
-// caller-induced, so never cached and never "repaired".
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // Metrics is a snapshot of the suite's record/replay observability
 // counters: how much functional emulation was spent versus how often its
 // product was reused, and where the wall time went.
@@ -208,14 +202,10 @@ func (m Metrics) WallRows() [][2]string {
 type Suite struct {
 	MaxInsts uint64 // per-run instruction budget (0 = workload default)
 
-	mu        sync.Mutex
-	cache     map[suiteKey]*Result
-	errs      map[suiteKey]error
-	resFlight map[suiteKey]chan struct{}
+	results flight.Memo[suiteKey, *Result]
+	traces  flight.Memo[traceKey, traceEntry]
 
-	traces      map[traceKey]*traceEntry
-	traceFlight map[traceKey]chan struct{}
-
+	mu      sync.Mutex
 	metrics Metrics
 }
 
@@ -238,7 +228,6 @@ type traceKey struct {
 
 type traceEntry struct {
 	rec *trace.Recording
-	err error
 	// repaired marks a recording produced by the live-fallback path: if
 	// it still fails to replay, the failure is real and must surface.
 	repaired bool
@@ -246,14 +235,7 @@ type traceEntry struct {
 
 // NewSuite creates a result cache with the given per-run budget.
 func NewSuite(maxInsts uint64) *Suite {
-	return &Suite{
-		MaxInsts:    maxInsts,
-		cache:       make(map[suiteKey]*Result),
-		errs:        make(map[suiteKey]error),
-		resFlight:   make(map[suiteKey]chan struct{}),
-		traces:      make(map[traceKey]*traceEntry),
-		traceFlight: make(map[traceKey]chan struct{}),
-	}
+	return &Suite{MaxInsts: maxInsts}
 }
 
 // Metrics returns a snapshot of the record/replay counters.
@@ -271,11 +253,8 @@ func (s *Suite) Metrics() Metrics {
 // and crash-dump context must be byte-stable across identical runs.
 // The engine component is omitted: within one process it is constant.
 func (s *Suite) CacheSnapshot() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.cache))
-	//helios:nondeterminism-ok keys are sorted below before being returned
-	for k := range s.cache {
+	var keys []string
+	for _, k := range s.results.Keys() {
 		keys = append(keys, fmt.Sprintf("%s/%s@%d", k.workload, k.mode, k.budget))
 	}
 	sort.Strings(keys)
@@ -293,11 +272,10 @@ func (s *Suite) budget(w workloads.Workload) uint64 {
 // SeedRecording pre-populates the trace cache with an externally
 // produced recording (e.g. loaded from a trace file), keyed by its Name
 // and MaxInsts. Replays will use it instead of emulating — and if it
-// turns out to be corrupt, the live-fallback path replaces it.
+// turns out to be corrupt, the live-fallback path replaces it. A key
+// that is already recorded, or being recorded, keeps its recording.
 func (s *Suite) SeedRecording(rec *trace.Recording) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.traces[traceKey{rec.Name, rec.MaxInsts}] = &traceEntry{rec: rec}
+	s.traces.Add(traceKey{rec.Name, rec.MaxInsts}, traceEntry{rec: rec})
 }
 
 // Get returns the (cached) result for one workload/mode pair at the
@@ -321,41 +299,14 @@ func (s *Suite) GetBudget(ctx context.Context, name string, mode fusion.Mode, bu
 	if budget == 0 {
 		budget = s.budget(w)
 	}
-	key := suiteKey{name, mode, budget, engineVersion}
-	s.mu.Lock()
-	for {
-		if r, ok := s.cache[key]; ok {
-			err := s.errs[key]
-			s.mu.Unlock()
-			return r, err
-		}
-		ch, inflight := s.resFlight[key]
-		if !inflight {
-			break
-		}
+	r, how, err := s.results.Do(ctx, suiteKey{name, mode, budget, engineVersion}, func() (*Result, error) {
+		return s.run(ctx, w, mode, budget)
+	})
+	if how&flight.Wait != 0 {
+		s.mu.Lock()
 		s.metrics.DedupedRuns++
 		s.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		s.mu.Lock()
 	}
-	ch := make(chan struct{})
-	s.resFlight[key] = ch
-	s.mu.Unlock()
-
-	r, err := s.run(ctx, w, mode, budget)
-
-	s.mu.Lock()
-	if !isCtxErr(err) {
-		s.cache[key] = r
-		s.errs[key] = err
-	}
-	delete(s.resFlight, key)
-	s.mu.Unlock()
-	close(ch)
 	return r, err
 }
 
@@ -399,7 +350,7 @@ func (s *Suite) ReplayConfig(ctx context.Context, name string, cfg ooo.Config, b
 // the fresh recording.
 func (s *Suite) replayDegrade(ctx context.Context, w workloads.Workload, cfg ooo.Config, rec *trace.Recording, budget uint64) (*Result, error) {
 	r, runErr := s.replay(ctx, w.Name, cfg, rec, budget)
-	if runErr == nil || isCtxErr(runErr) {
+	if runErr == nil || flight.IsCtxErr(runErr) {
 		return r, runErr
 	}
 	// The degrade span marks the rare repair path in the request's trace
@@ -492,10 +443,11 @@ func (s *Suite) Recording(ctx context.Context, name string) (*trace.Recording, e
 }
 
 // RecordingBudget is Recording with an explicit instruction budget
-// (0 = the suite's budget). heliosd's micro-batcher uses it as the
-// batch's single record phase: one call under the server's root context
-// materializes the trace, and every request in the batch then replays a
-// guaranteed warm recording under its own deadline.
+// (0 = the suite's budget). heliosd calls it first on a cache miss, so
+// the request's trace shows the record phase apart from the replay.
+// Like every entry point it runs under the caller's context: a
+// recording cut short by its leader's deadline is not cached, and a
+// concurrent caller whose context is still live records it again.
 func (s *Suite) RecordingBudget(ctx context.Context, name string, budget uint64) (*trace.Recording, error) {
 	w, ok := workloads.ByName(name)
 	if !ok {
@@ -511,47 +463,30 @@ func (s *Suite) RecordingBudget(ctx context.Context, name string, budget uint64)
 // first caller emulates and everyone else waits for or reuses the buffer.
 // A context failure during emulation is returned but not cached.
 func (s *Suite) recording(ctx context.Context, w workloads.Workload, budget uint64) (*trace.Recording, error) {
-	key := traceKey{w.Name, budget}
+	e, how, err := s.traces.Do(ctx, traceKey{w.Name, budget}, func() (traceEntry, error) {
+		rec, err := s.emulate(ctx, w, budget)
+		return traceEntry{rec: rec}, err
+	})
 	s.mu.Lock()
-	for {
-		if e, ok := s.traces[key]; ok {
-			s.metrics.TraceHits++
-			s.mu.Unlock()
-			return e.rec, e.err
-		}
-		ch, inflight := s.traceFlight[key]
-		if !inflight {
-			break
-		}
-		s.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		s.mu.Lock()
+	if how&flight.Hit != 0 {
+		s.metrics.TraceHits++
 	}
-	ch := make(chan struct{})
-	s.traceFlight[key] = ch
-	s.metrics.TraceMisses++
-	s.mu.Unlock()
-
-	start := time.Now() //helios:nondeterminism-ok wall-time metrics only; simulated results never read it
-	rec, err := s.emulate(ctx, w, budget)
-
-	s.mu.Lock()
-	if !isCtxErr(err) {
-		s.traces[key] = &traceEntry{rec: rec, err: err}
+	if how&flight.Run != 0 {
+		s.metrics.TraceMisses++
 	}
-	s.metrics.EmuTime += time.Since(start)
-	delete(s.traceFlight, key)
 	s.mu.Unlock()
-	close(ch)
-	return rec, err
+	return e.rec, err
 }
 
-// emulate records the workload's committed stream under ctx.
+// emulate records the workload's committed stream under ctx, with its
+// wall time accounted to the suite metrics.
 func (s *Suite) emulate(ctx context.Context, w workloads.Workload, budget uint64) (*trace.Recording, error) {
+	start := time.Now() //helios:nondeterminism-ok wall-time metrics only; simulated results never read it
+	defer func() {
+		s.mu.Lock()
+		s.metrics.EmuTime += time.Since(start)
+		s.mu.Unlock()
+	}()
 	src, err := w.Trace(budget)
 	if err != nil {
 		return nil, err
@@ -571,49 +506,21 @@ func (s *Suite) emulate(ctx context.Context, w workloads.Workload, budget uint64
 // callers surface the failure. bad is the recording the caller just
 // watched fail, so a concurrent repair is detected and reused.
 func (s *Suite) repairRecording(ctx context.Context, w workloads.Workload, budget uint64, bad *trace.Recording) (*trace.Recording, error) {
-	key := traceKey{w.Name, budget}
-	s.mu.Lock()
-	for {
-		e := s.traces[key]
-		if e != nil && (e.rec != bad || e.repaired) {
-			// Someone already repaired (or the caller replayed the
-			// repaired recording): hand it back as-is.
-			s.mu.Unlock()
-			return e.rec, e.err
-		}
-		ch, inflight := s.traceFlight[key]
-		if !inflight {
-			break
-		}
-		s.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	// Only the unrepaired bad recording is stale: anything else stored
+	// is someone's finished repair (or the repaired recording the caller
+	// just replayed) and comes back as-is. A repair cut short by its
+	// context leaves the bad entry for a later call to retry.
+	stale := func(e traceEntry) bool { return e.rec == bad && !e.repaired }
+	e, how, err := s.traces.Redo(ctx, traceKey{w.Name, budget}, stale, func() (traceEntry, error) {
+		rec, err := s.emulate(ctx, w, budget)
+		return traceEntry{rec: rec, repaired: true}, err
+	})
+	if how&flight.Run != 0 && !flight.IsCtxErr(err) {
 		s.mu.Lock()
+		s.metrics.LiveFallbacks++
+		s.mu.Unlock()
 	}
-	ch := make(chan struct{})
-	s.traceFlight[key] = ch
-	s.metrics.LiveFallbacks++
-	s.mu.Unlock()
-
-	start := time.Now() //helios:nondeterminism-ok wall-time metrics only; simulated results never read it
-	rec, err := s.emulate(ctx, w, budget)
-
-	s.mu.Lock()
-	if isCtxErr(err) {
-		// Keep the old (bad) entry so a later Get can retry the repair.
-		s.traces[key] = &traceEntry{rec: bad}
-		s.metrics.LiveFallbacks--
-	} else {
-		s.traces[key] = &traceEntry{rec: rec, err: err, repaired: true}
-	}
-	s.metrics.EmuTime += time.Since(start)
-	delete(s.traceFlight, key)
-	s.mu.Unlock()
-	close(ch)
-	return rec, err
+	return e.rec, err
 }
 
 // Prefetch runs every workload under each mode in parallel, filling the

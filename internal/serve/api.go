@@ -2,8 +2,9 @@
 // HTTP+JSON, engineered robustness-first. Every result is keyed by a
 // content hash of (workload, machine config, budget, engine version) so
 // repeat requests are pure cache hits; in-flight misses are deduplicated
-// by singleflight; distinct requests sharing a workload coalesce through
-// a time/size-bounded micro-batcher into one record phase.
+// by singleflight. A miss runs on its own request goroutine, and
+// distinct misses sharing a workload share one record phase through the
+// suite, which records each (workload, budget) once.
 //
 // The robustness layer is the contract (DESIGN.md §14): a bounded
 // admission queue that rejects overload with a typed 429 carrying a
@@ -40,8 +41,8 @@ type RunRequest struct {
 	// Obs requests a per-run observability artifact: "pipeview" (Konata
 	// O3PipeView), "events" (NDJSON pipeline events) or "interval"
 	// (interval-sampled CSV). An observed run replays off the suite's
-	// record-once trace outside the result cache and the micro-batcher —
-	// the artifact is a side effect, not a cacheable value — and replay
+	// record-once trace outside the result cache — the artifact is a
+	// side effect, not a cacheable value — and replay
 	// determinism makes the payload byte-identical to heliossim's for
 	// the same workload/config/budget.
 	Obs string `json:"obs,omitempty"`
@@ -70,11 +71,10 @@ type RunResponse struct {
 	Key       string    `json:"key"` // content address of the result
 	Workload  string    `json:"workload"`
 	Mode      string    `json:"mode"`
-	Insts     uint64    `json:"insts"`                // resolved budget
-	Engine    string    `json:"engine"`               // engine version baked into the key
-	Cached    bool      `json:"cached"`               // pure content-cache hit
-	Coalesced bool      `json:"coalesced,omitempty"`  // waited on an identical in-flight run
-	BatchSize int       `json:"batch_size,omitempty"` // size of the micro-batch this ran in
+	Insts     uint64    `json:"insts"`               // resolved budget
+	Engine    string    `json:"engine"`              // engine version baked into the key
+	Cached    bool      `json:"cached"`              // pure content-cache hit
+	Coalesced bool      `json:"coalesced,omitempty"` // waited on an identical in-flight run
 	IPC       float64   `json:"ipc"`
 	Stats     ooo.Stats `json:"stats"`
 	// Artifact carries the captured obs stream for requests with an obs

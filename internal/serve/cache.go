@@ -2,41 +2,24 @@ package serve
 
 import (
 	"context"
-	"errors"
-	"sync"
+	"sync/atomic"
 
 	"helios/internal/core"
+	"helios/internal/flight"
 	"helios/internal/telemetry"
 )
 
-// resultCache is the content-addressed result store plus the
-// singleflight layer that deduplicates in-flight misses: the first
-// request for a key runs the simulation, every concurrent identical
-// request waits on the same flight, and later requests are pure hits.
-// The pattern (flight channel under one mutex, re-check loop after
-// every wait) is the one proven in core.Suite; context failures are
-// never cached, so a deadline that expires while waiting poisons
-// nothing.
+// resultCache is the content-addressed result store: the first request
+// for a key runs the simulation, every concurrent identical request
+// waits on the same run, and later requests are pure hits. Context
+// failures are never cached, so a deadline that expires while waiting
+// poisons nothing.
 type resultCache struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	flight  map[string]chan struct{}
+	results flight.Memo[string, *core.Result]
 
-	hits      uint64
-	misses    uint64
-	coalesced uint64
-}
-
-type cacheEntry struct {
-	res *core.Result
-	err error
-}
-
-func newResultCache() *resultCache {
-	return &resultCache{
-		entries: make(map[string]*cacheEntry),
-		flight:  make(map[string]chan struct{}),
-	}
+	hits      atomic.Uint64
+	misses    atomic.Uint64
+	coalesced atomic.Uint64
 }
 
 // do returns the cached result for key, or runs fn once to produce it.
@@ -45,59 +28,33 @@ func newResultCache() *resultCache {
 // request that faults will fault again) except context failures, which
 // belong to the caller, not the key.
 func (c *resultCache) do(ctx context.Context, key string, fn func() (*core.Result, error)) (res *core.Result, cached, coalesced bool, err error) {
-	// cache_read covers the lookup/wait loop; spans end explicitly on
-	// every exit path (never by defer) so the span-balance contract the
-	// chaos soak audits holds even when a waiter's context dies mid-loop.
-	tr := telemetry.FromContext(ctx)
-	rd := tr.Start("cache_read")
-	c.mu.Lock()
-	for {
-		if e, ok := c.entries[key]; ok {
-			c.hits++
-			c.mu.Unlock()
-			rd.SetAttr("hit", "true")
-			rd.SetBool("coalesced", coalesced)
-			rd.End()
-			return e.res, !coalesced, coalesced, e.err
-		}
-		ch, inflight := c.flight[key]
-		if !inflight {
-			break
-		}
-		c.coalesced++
-		coalesced = true
-		c.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			rd.SetAttr("hit", "false")
-			rd.SetBool("coalesced", true)
-			rd.End()
-			return nil, false, true, ctx.Err()
-		}
-		c.mu.Lock()
+	// cache_read covers the lookup and any wait on an identical run. A
+	// miss ends it before running fn, so the miss's record and replay
+	// spans follow it on the lane instead of nesting in it.
+	rd := telemetry.FromContext(ctx).Start("cache_read")
+	ran := false
+	res, how, err := c.results.Do(ctx, key, func() (*core.Result, error) {
+		ran = true
+		rd.SetAttr("hit", "false")
+		rd.SetBool("coalesced", false)
+		rd.End()
+		return fn()
+	})
+	if !ran {
+		rd.SetAttr("hit", boolStr(how&flight.Hit != 0))
+		rd.SetBool("coalesced", how&flight.Wait != 0)
+		rd.End()
 	}
-	ch := make(chan struct{})
-	c.flight[key] = ch
-	c.misses++
-	c.mu.Unlock()
-	rd.SetAttr("hit", "false")
-	rd.SetBool("coalesced", coalesced)
-	rd.End()
-
-	res, err = fn()
-
-	wr := tr.Start("cache_write")
-	c.mu.Lock()
-	if !isCtxErr(err) {
-		c.entries[key] = &cacheEntry{res: res, err: err}
+	if how&flight.Hit != 0 {
+		c.hits.Add(1)
 	}
-	delete(c.flight, key)
-	c.mu.Unlock()
-	close(ch)
-	wr.SetBool("stored", !isCtxErr(err))
-	wr.End()
-	return res, false, coalesced, err
+	if how&flight.Run != 0 {
+		c.misses.Add(1)
+	}
+	if how&flight.Wait != 0 {
+		c.coalesced.Add(1)
+	}
+	return res, how == flight.Hit, how&flight.Wait != 0, err
 }
 
 // warm installs a result restored from disk, reporting whether it was
@@ -105,26 +62,10 @@ func (c *resultCache) do(ctx context.Context, key string, fn func() (*core.Resul
 // run) for the key wins over the disk copy, and warmed entries never
 // count as hits or misses until a request touches them.
 func (c *resultCache) warm(key string, res *core.Result) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.entries[key]; exists {
-		return false
-	}
-	if _, inflight := c.flight[key]; inflight {
-		return false
-	}
-	c.entries[key] = &cacheEntry{res: res}
-	return true
+	return c.results.Add(key, res)
 }
 
 // stats snapshots the cache counters.
 func (c *resultCache) stats() (entries int, hits, misses, coalesced uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries), c.hits, c.misses, c.coalesced
-}
-
-// isCtxErr reports whether err is a cancellation/deadline failure.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	return c.results.Len(), c.hits.Load(), c.misses.Load(), c.coalesced.Load()
 }

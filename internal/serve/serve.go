@@ -42,10 +42,6 @@ type Config struct {
 	RetryAfter time.Duration
 	// MaxBodyBytes bounds request bodies; larger bodies get a typed 413.
 	MaxBodyBytes int64
-	// MaxBatch / BatchWait bound the micro-batcher: a pending batch is
-	// cut at MaxBatch requests or BatchWait after its first request.
-	MaxBatch  int
-	BatchWait time.Duration
 	// DefaultInsts is the instruction budget when a request sends none
 	// (0 = each workload's own budget).
 	DefaultInsts uint64
@@ -95,8 +91,6 @@ func DefaultConfig() Config {
 		MaxDeadline:     2 * time.Minute,
 		RetryAfter:      500 * time.Millisecond,
 		MaxBodyBytes:    1 << 20,
-		MaxBatch:        8,
-		BatchWait:       2 * time.Millisecond,
 	}
 }
 
@@ -118,15 +112,13 @@ type Counters struct {
 }
 
 // Server is the heliosd service core: it owns the suite (record-once
-// cache + scheduler), the content-addressed result cache, the
-// micro-batcher and the robustness envelope. It is transport-agnostic —
-// Handler returns the http.Handler; the cmd owns the listener.
+// cache + scheduler), the content-addressed result cache and the
+// robustness envelope. It is transport-agnostic — Handler returns the
+// http.Handler; the cmd owns the listener.
 type Server struct {
-	cfg     Config
-	suite   *core.Suite
-	cache   *resultCache
-	batch   *batcher
-	baseCtx context.Context
+	cfg   Config
+	suite *core.Suite
+	cache resultCache
 	// tel is nil unless Config.Telemetry — the nil pointer IS the
 	// disabled state, so the request path never branches on a flag.
 	tel *telemetry.Tracer
@@ -136,6 +128,10 @@ type Server struct {
 	// warmEntries counts results restored from CacheDir at boot; written
 	// once before traffic, read-only after.
 	warmEntries int
+	// missHook, when set, runs at the start of every cache miss with the
+	// request's context. Tests use it to hold requests in flight; it is
+	// nil in production.
+	missHook func(ctx context.Context)
 
 	wg sync.WaitGroup
 
@@ -151,28 +147,26 @@ type Server struct {
 	latencyEx telemetry.ExemplarSet
 }
 
-// New builds a server rooted at ctx: the context bounds background work
-// (the batcher's shared record phases) and should be the process root.
-func New(ctx context.Context, cfg Config) *Server {
+// New builds a server. ctx is no longer used: every simulation runs on
+// its request's goroutine under the request's context, so the server
+// has no background work to bound. The parameter stays so existing
+// callers compile.
+func New(_ context.Context, cfg Config) *Server {
 	if cfg.QueueDepth < 1 {
 		cfg.QueueDepth = 1
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
 	}
-	suite := core.NewSuite(cfg.DefaultInsts)
 	var tel *telemetry.Tracer
 	if cfg.Telemetry {
 		tel = telemetry.New(telemetry.Options{Ring: cfg.TraceRing, NDJSON: cfg.SpanLog, Sampler: cfg.Sampler})
 	}
 	s := &Server{
-		cfg:     cfg,
-		suite:   suite,
-		cache:   newResultCache(),
-		batch:   newBatcher(ctx, suite, cfg.MaxBatch, cfg.BatchWait),
-		baseCtx: ctx,
-		tel:     tel,
-		flight:  newFlightRecorder(cfg.FlightSize),
+		cfg:    cfg,
+		suite:  core.NewSuite(cfg.DefaultInsts),
+		tel:    tel,
+		flight: newFlightRecorder(cfg.FlightSize),
 	}
 	if cfg.CacheDir != "" {
 		s.warmEntries = s.warmCache(cfg.CacheDir)
@@ -519,11 +513,8 @@ func (s *Server) handleRun(ctx0 context.Context, r *http.Request) (any, *Error) 
 		return s.runObs(ctx, &req, name, cfg, budget, key)
 	}
 
-	batchSize := 0
 	res, cached, coalesced, err := s.cache.do(ctx, key, func() (*core.Result, error) {
-		rr, n, rerr := s.batch.submit(ctx, name, budget, cfg, custom)
-		batchSize = n
-		return rr, rerr
+		return s.simulate(ctx, name, cfg, budget, custom)
 	})
 	if err != nil {
 		return nil, classify(err)
@@ -552,10 +543,40 @@ func (s *Server) handleRun(ctx0 context.Context, r *http.Request) (any, *Error) 
 		Engine:    core.EngineVersion(),
 		Cached:    cached,
 		Coalesced: coalesced,
-		BatchSize: batchSize,
 		IPC:       res.Stats.IPC(),
 		Stats:     res.Stats,
 	}, nil
+}
+
+// simulate runs one cache miss on the request's goroutine and under its
+// context: the workload's shared recording first, then the replay for
+// this machine. Concurrent misses on one workload share the record
+// phase through the suite, which records each (workload, budget) once.
+func (s *Server) simulate(ctx context.Context, name string, cfg ooo.Config, budget uint64, custom bool) (*core.Result, error) {
+	if s.missHook != nil {
+		s.missHook(ctx)
+	}
+	tr := telemetry.FromContext(ctx)
+	sp := tr.Start("record")
+	_, err := s.suite.RecordingBudget(ctx, name, budget)
+	sp.SetBool("err", err != nil)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	sp = tr.Start("replay")
+	sp.SetBool("custom", custom)
+	var res *core.Result
+	if custom {
+		res, err = s.suite.ReplayConfig(ctx, name, cfg, budget)
+	} else {
+		// Default machine: go through the suite cache so server traffic
+		// and suite-endpoint cells share results.
+		res, err = s.suite.GetBudget(ctx, name, cfg.Mode, budget)
+	}
+	sp.SetBool("err", err != nil)
+	sp.End()
+	return res, err
 }
 
 func boolStr(v bool) string {
@@ -690,17 +711,23 @@ func (s *Server) writeManifest(key, name string, cfg ooo.Config, budget uint64, 
 	m.Budget = budget
 	m.Engine = core.EngineVersion()
 	fname := fmt.Sprintf("%s-%s-%s.json", name, cfg.Mode, key[:12])
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	// The files are written outside s.mu, which admission and release
+	// take on every request; only the counters need the lock. Requests
+	// that share a key write the same bytes to the same file.
+	var written, failed uint64
 	for _, dir := range s.manifestDirs() {
 		path := filepath.Join(dir, fname)
 		if err := m.WriteFile(path); err != nil {
-			s.c.ManifestErrors++
+			failed++
 			s.logf("serve: manifest %s: %v", path, err)
 			continue
 		}
-		s.c.ManifestsWritten++
+		written++
 	}
+	s.mu.Lock()
+	s.c.ManifestsWritten += written
+	s.c.ManifestErrors += failed
+	s.mu.Unlock()
 }
 
 // resolveMatrix validates a workload×mode matrix and returns the
@@ -909,9 +936,6 @@ type metricsSnapshot struct {
 	cacheHits      uint64
 	cacheMisses    uint64
 	cacheCoalesced uint64
-	batches        uint64
-	batched        uint64
-	maxBatch       uint64
 	suite          core.Metrics
 	tracing        telemetry.Metrics
 	spanHists      []telemetry.NamedHistogram
@@ -924,7 +948,6 @@ type metricsSnapshot struct {
 func (s *Server) snapshotMetrics() metricsSnapshot {
 	var snap metricsSnapshot
 	snap.cacheEntries, snap.cacheHits, snap.cacheMisses, snap.cacheCoalesced = s.cache.stats()
-	snap.batches, snap.batched, snap.maxBatch = s.batch.stats()
 	snap.suite = s.suite.Metrics()
 	snap.tracing = s.tel.Metrics()
 	snap.spanHists = s.tel.Histograms()
@@ -993,11 +1016,6 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 			Misses      uint64 `json:"misses"`
 			Coalesced   uint64 `json:"coalesced"`
 		} `json:"cache"`
-		Batch struct {
-			Batches  uint64 `json:"batches"`
-			Requests uint64 `json:"requests"`
-			MaxBatch uint64 `json:"max_batch"`
-		} `json:"batch"`
 		Suite struct {
 			TraceMisses   uint64 `json:"trace_misses"`
 			TraceHits     uint64 `json:"trace_hits"`
@@ -1024,9 +1042,6 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	payload.Cache.Hits = snap.cacheHits
 	payload.Cache.Misses = snap.cacheMisses
 	payload.Cache.Coalesced = snap.cacheCoalesced
-	payload.Batch.Batches = snap.batches
-	payload.Batch.Requests = snap.batched
-	payload.Batch.MaxBatch = snap.maxBatch
 	payload.Suite.TraceMisses = snap.suite.TraceMisses
 	payload.Suite.TraceHits = snap.suite.TraceHits
 	payload.Suite.Replays = snap.suite.Replays
@@ -1093,9 +1108,6 @@ func (s *Server) writeProm(w http.ResponseWriter, snap metricsSnapshot, om bool)
 	p.Counter("heliosd_cache_hits_total", "Result-cache hits.", snap.cacheHits)
 	p.Counter("heliosd_cache_misses_total", "Result-cache misses.", snap.cacheMisses)
 	p.Counter("heliosd_cache_coalesced_total", "Requests that waited on an identical in-flight run.", snap.cacheCoalesced)
-	p.Counter("heliosd_batches_total", "Micro-batches executed.", snap.batches)
-	p.Counter("heliosd_batched_requests_total", "Requests that rode in a micro-batch.", snap.batched)
-	p.Gauge("heliosd_batch_size_max", "Largest batch cut so far.", float64(snap.maxBatch))
 	p.Counter("heliosd_suite_trace_hits_total", "Record-once trace cache hits.", snap.suite.TraceHits)
 	p.Counter("heliosd_suite_trace_misses_total", "Record-once trace cache misses.", snap.suite.TraceMisses)
 	p.Counter("heliosd_suite_replays_total", "Replay runs off cached recordings.", snap.suite.Replays)

@@ -18,24 +18,59 @@ import (
 )
 
 // testConfig keeps unit-test servers fast and deterministic: tiny
-// budgets, no batch window (cut immediately), generous deadline.
+// budgets, generous deadline.
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.DefaultInsts = 5_000
-	cfg.MaxBatch = 1
-	cfg.BatchWait = 0
 	cfg.DefaultDeadline = 30 * time.Second
 	return cfg
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	s := New(ctx, cfg)
+	return newHookedServer(t, cfg, nil)
+}
+
+// newHookedServer is newTestServer with a miss hook installed before
+// the server takes traffic.
+func newHookedServer(t *testing.T, cfg Config, hook func(ctx context.Context)) (*Server, *httptest.Server) {
+	t.Helper()
+	s := New(context.Background(), cfg)
+	s.missHook = hook
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// newHeldServer is a test server whose cache misses park inside their
+// admission slots until release is called (or their context ends).
+// release is idempotent and also runs at cleanup, before the listener
+// closes.
+func newHeldServer(t *testing.T, cfg Config) (s *Server, ts *httptest.Server, release func()) {
+	t.Helper()
+	held := make(chan struct{})
+	s, ts = newHookedServer(t, cfg, func(ctx context.Context) {
+		select {
+		case <-held:
+		case <-ctx.Done():
+		}
+	})
+	var once sync.Once
+	release = func() { once.Do(func() { close(held) }) }
+	t.Cleanup(release)
+	return s, ts, release
+}
+
+// waitInflight polls until n requests hold admission slots.
+func waitInflight(t *testing.T, s *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for s.healthSnapshot().Inflight < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("never reached %d in-flight request(s)", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -201,35 +236,25 @@ func TestHostileRequests(t *testing.T) {
 	}
 }
 
-// TestAdmissionOverload holds QueueDepth slots open via the batch
-// window (a long BatchWait parks the first requests inside their
-// admission slots) and checks the next request bounces with a typed
-// 429 carrying both retry-after forms.
+// TestAdmissionOverload holds QueueDepth slots open (the first
+// requests' misses park inside their admission slots) and checks the
+// next request bounces with a typed 429 carrying both retry-after forms.
 func TestAdmissionOverload(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 2
-	cfg.MaxBatch = 64               // never cut by size
-	cfg.BatchWait = 2 * time.Second // park requests in the window
 	cfg.RetryAfter = 1500 * time.Millisecond
-	s, ts := newTestServer(t, cfg)
+	s, ts, release := newHeldServer(t, cfg)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Distinct modes: distinct content keys, same batch group.
+			// Distinct modes: distinct content keys, so both miss.
 			postJSONQuiet(ts.URL+"/v1/run", RunRequest{Workload: "crc32", Mode: fusion.Modes[i].String()})
 		}(i)
 	}
-	// Wait until both slots are held.
-	deadline := time.Now().Add(2 * time.Second)
-	for s.healthSnapshot().Inflight < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("parked requests never occupied the queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitInflight(t, s, 2)
 
 	resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "sha", Mode: "Helios"})
 	if resp.StatusCode != 429 {
@@ -242,6 +267,7 @@ func TestAdmissionOverload(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra != "2" {
 		t.Errorf("Retry-After header = %q, want %q (1500ms rounded up)", ra, "2")
 	}
+	release()
 	wg.Wait()
 	if got := s.MaxInflight(); got > 2 {
 		t.Errorf("max inflight = %d, exceeded QueueDepth 2", got)
@@ -251,15 +277,11 @@ func TestAdmissionOverload(t *testing.T) {
 	}
 }
 
-// TestDeadlinePropagation: a 1ms deadline with the run parked behind a
-// longer batch window must come back as a typed 504, and the partial
-// work must not poison the cache — a later request with a sane deadline
-// succeeds.
+// TestDeadlinePropagation: a 1ms deadline with the run parked past it
+// must come back as a typed 504, and the partial work must not poison
+// the cache — a later request with a sane deadline succeeds.
 func TestDeadlinePropagation(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxBatch = 64
-	cfg.BatchWait = 100 * time.Millisecond
-	_, ts := newTestServer(t, cfg)
+	_, ts, release := newHeldServer(t, testConfig())
 
 	req := RunRequest{Workload: "crc32", Mode: "Helios", DeadlineMs: 1}
 	resp, body := postJSON(t, ts.URL+"/v1/run", req)
@@ -270,6 +292,7 @@ func TestDeadlinePropagation(t *testing.T) {
 		t.Errorf("kind = %s, want %s", e.Kind, ErrDeadline)
 	}
 
+	release()
 	req.DeadlineMs = 30_000
 	resp, body = postJSON(t, ts.URL+"/v1/run", req)
 	if resp.StatusCode != 200 {
@@ -277,43 +300,46 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 }
 
-// TestBatchCoalescing fires every fusion mode for one workload
-// concurrently with a wide batch window: all six must ride one batch
-// (one record phase — TraceMisses == 1) and report the batch size.
-func TestBatchCoalescing(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxBatch = len(fusion.Modes)
-	cfg.BatchWait = 500 * time.Millisecond
-	s, ts := newTestServer(t, cfg)
-
-	var wg sync.WaitGroup
-	sizes := make([]int, len(fusion.Modes))
-	for i, m := range fusion.Modes {
-		wg.Add(1)
-		go func(i int, m fusion.Mode) {
-			defer wg.Done()
-			status, body, err := postJSONQuiet(ts.URL+"/v1/run", RunRequest{Workload: "crc32", Mode: m.String()})
-			if err != nil || status != 200 {
-				t.Errorf("%v: status %d err %v: %s", m, status, err, body)
-				return
-			}
-			var rr RunResponse
-			if err := json.Unmarshal(body, &rr); err != nil {
-				t.Errorf("%v: bad RunResponse %s: %v", m, body, err)
-				return
-			}
-			sizes[i] = rr.BatchSize
-		}(i, m)
+// TestConcurrentMissesShareOneRecording fires every fusion mode plus
+// several distinct custom machines for one workload at once, all
+// released together from the start of their misses: they must share one
+// record phase (TraceMisses == 1), each on its own request goroutine,
+// and every one must succeed.
+func TestConcurrentMissesShareOneRecording(t *testing.T) {
+	var reqs []RunRequest
+	for _, m := range fusion.Modes {
+		reqs = append(reqs, RunRequest{Workload: "crc32", Mode: m.String()})
 	}
+	for i := 0; i < 4; i++ {
+		c := ooo.DefaultConfig(fusion.ModeHelios)
+		c.ROBSize -= 1 + i
+		reqs = append(reqs, RunRequest{Workload: "crc32", Config: &c})
+	}
+
+	var arrived sync.WaitGroup
+	arrived.Add(len(reqs))
+	start := make(chan struct{})
+	s, ts := newHookedServer(t, testConfig(), func(context.Context) {
+		arrived.Done()
+		<-start
+	})
+	var wg sync.WaitGroup
+	for _, req := range reqs {
+		wg.Add(1)
+		go func(req RunRequest) {
+			defer wg.Done()
+			status, body, err := postJSONQuiet(ts.URL+"/v1/run", req)
+			if err != nil || status != 200 {
+				t.Errorf("%s %s: status %d err %v: %s", req.Mode, req.Workload, status, err, body)
+			}
+		}(req)
+	}
+	arrived.Wait()
+	close(start)
 	wg.Wait()
 
 	if m := s.Suite().Metrics(); m.TraceMisses != 1 {
-		t.Errorf("TraceMisses = %d, want 1 (six modes must share one record phase)", m.TraceMisses)
-	}
-	for i, n := range sizes {
-		if n != len(fusion.Modes) {
-			t.Errorf("request %d rode a batch of %d, want %d", i, n, len(fusion.Modes))
-		}
+		t.Errorf("TraceMisses = %d, want 1 (%d concurrent misses must share one record phase)", m.TraceMisses, len(reqs))
 	}
 }
 
@@ -414,10 +440,7 @@ func TestDiffEndpoint(t *testing.T) {
 // is refused with a typed 503, readyz flips to draining, and Drain
 // returns nil within the deadline.
 func TestDrain(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxBatch = 64
-	cfg.BatchWait = 150 * time.Millisecond // park one request mid-flight
-	s, ts := newTestServer(t, cfg)
+	s, ts, release := newHeldServer(t, testConfig())
 
 	type result struct {
 		status int
@@ -431,17 +454,19 @@ func TestDrain(t *testing.T) {
 		}
 		inflight <- result{status, body}
 	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for s.healthSnapshot().Inflight < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never became in-flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitInflight(t, s, 1)
 
 	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := s.Drain(dctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(dctx) }()
+	select {
+	case err := <-drained:
+		t.Fatalf("drain returned (%v) with a request still in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if err := <-drained; err != nil {
 		t.Fatalf("drain failed: %v", err)
 	}
 	r := <-inflight
@@ -477,19 +502,10 @@ func TestDrain(t *testing.T) {
 // TestDrainDeadlineExpires: a request that outlives the drain window
 // surfaces as a drain error naming the stragglers.
 func TestDrainDeadlineExpires(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxBatch = 64
-	cfg.BatchWait = time.Second
-	s, ts := newTestServer(t, cfg)
+	s, ts, _ := newHeldServer(t, testConfig())
 
 	go postJSONQuiet(ts.URL+"/v1/run", RunRequest{Workload: "crc32"})
-	deadline := time.Now().Add(2 * time.Second)
-	for s.healthSnapshot().Inflight < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never became in-flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitInflight(t, s, 1)
 	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	err := s.Drain(dctx)

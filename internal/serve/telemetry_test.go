@@ -29,9 +29,9 @@ func telemetryConfig() Config {
 // TestServeTelemetryOffNoAllocs pins the disabled-path contract at the
 // service layer, mirroring ooo's TestCommitObsOffNoAllocs: with
 // Config.Telemetry false the tracer is a nil pointer and the complete
-// span hook sequence of one request — trace start, admission span,
-// context threading, cache/batch spans, outcome attrs, finish —
-// allocates nothing.
+// span hook sequence of one cache miss — trace start, admission span,
+// context threading, the cache_read, record and replay spans, outcome
+// attrs, finish — allocates nothing.
 func TestServeTelemetryOffNoAllocs(t *testing.T) {
 	s := New(context.Background(), testConfig())
 	if s.Telemetry() != nil {
@@ -47,12 +47,16 @@ func TestServeTelemetryOffNoAllocs(t *testing.T) {
 		tr2 := telemetry.FromContext(hctx)
 		tr2.SetAttr("workload", "crc32")
 		rd := tr2.Start("cache_read")
-		rd.SetAttr("hit", "true")
+		rd.SetAttr("hit", "false")
 		rd.SetBool("coalesced", false)
 		rd.End()
-		bw := tr2.Start("batch_wait")
-		bw.SetInt("batch_size", 1)
-		bw.End()
+		rec := tr2.Start("record")
+		rec.SetBool("err", false)
+		rec.End()
+		rep := tr2.Start("replay")
+		rep.SetBool("custom", false)
+		rep.SetBool("err", false)
+		rep.End()
 		tr.SetAttr("outcome", "ok")
 		s.finishTrace(tr)
 	})
@@ -100,7 +104,7 @@ func TestServeTraceLifecycle(t *testing.T) {
 	// The uncached run's trace carries the full phase ledger.
 	first := traces[0]
 	want := map[string]bool{"admission": false, "cache_read": false,
-		"cache_write": false, "batch_wait": false, "record": false, "replay": false}
+		"record": false, "replay": false}
 	for _, sp := range first.Spans {
 		if _, ok := want[sp.Name]; ok {
 			want[sp.Name] = true
@@ -121,10 +125,10 @@ func TestServeTraceLifecycle(t *testing.T) {
 		t.Errorf("trace workload = %q, want crc32", v)
 	}
 
-	// The cached run read the cache and never touched the batcher.
+	// The cached run read the cache and never simulated.
 	second := traces[1]
 	for _, sp := range second.Spans {
-		if sp.Name == "batch_wait" || sp.Name == "record" {
+		if sp.Name == "record" || sp.Name == "replay" {
 			t.Errorf("cached run trace has a %q span", sp.Name)
 		}
 	}

@@ -58,9 +58,8 @@ func (tr *Trace) Snapshot() TraceInfo {
 		unended := !sp.ended
 		if unended || se.After(end) {
 			// Clamp to the trace end: open spans, and spans whose End
-			// raced past Finish (a batch executor finishing a balanced
-			// span pair for a deadline-abandoned request). The trace's
-			// exported timeline is sealed at Finish.
+			// raced past Finish. The trace's exported timeline is sealed
+			// at Finish.
 			se = end
 		}
 		info.Spans = append(info.Spans, SpanInfo{

@@ -2,7 +2,7 @@
 // obs explains what the simulated core did to a µop, telemetry explains
 // what heliosd did to a request. A Tracer hands out per-request Traces;
 // code on the request path opens named Spans (admission, cache_read,
-// batch_wait, record, replay, cache_write, manifest) carrying string
+// record, replay, artifact, manifest) carrying string
 // attributes, and the tracer aggregates span durations into
 // stats.Histogram latency histograms plus bookkeeping counters that
 // prove the span contract (every started span ends exactly once).

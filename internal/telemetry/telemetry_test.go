@@ -37,8 +37,8 @@ func TestSpanLifecycleAndSnapshot(t *testing.T) {
 	c.Advance(us(3))
 	adm.End()
 
-	outer := req.Start("batch_wait")
-	outer.SetInt("batch_size", 2)
+	outer := req.Start("simulate")
+	outer.SetInt("insts", 2)
 	c.Advance(us(2))
 	inner := req.Start("replay")
 	inner.SetBool("cached", false)
@@ -80,8 +80,8 @@ func TestSpanLifecycleAndSnapshot(t *testing.T) {
 	if sp := byName["admission"]; sp.StartUS != 5 || sp.DurUS != 3 {
 		t.Fatalf("admission span = %+v", sp)
 	}
-	if sp := byName["batch_wait"]; sp.StartUS != 8 || sp.DurUS != 10 {
-		t.Fatalf("batch_wait span = %+v", sp)
+	if sp := byName["simulate"]; sp.StartUS != 8 || sp.DurUS != 10 {
+		t.Fatalf("simulate span = %+v", sp)
 	}
 	if sp := byName["replay"]; sp.StartUS != 10 || sp.DurUS != 7 {
 		t.Fatalf("replay span = %+v", sp)
@@ -89,7 +89,7 @@ func TestSpanLifecycleAndSnapshot(t *testing.T) {
 	if sp := byName["cell"]; sp.Lane != 3 || sp.DurUS != 4 {
 		t.Fatalf("cell span = %+v", sp)
 	}
-	// Lane 0 top-level spans (admission + batch_wait, replay nested
+	// Lane 0 top-level spans (admission + simulate, replay nested
 	// inside) must sum to no more than the trace duration.
 	if sum := ti.TopLevelSumUS(0); sum != 13 || sum > ti.DurUS {
 		t.Fatalf("TopLevelSumUS(0) = %d (trace %d)", sum, ti.DurUS)
@@ -101,7 +101,7 @@ func TestSpanLifecycleAndSnapshot(t *testing.T) {
 		names = append(names, nh.Name)
 	}
 	joined := strings.Join(names, ",")
-	for _, want := range []string{"POST /v1/run", "admission", "batch_wait", "replay", "cell"} {
+	for _, want := range []string{"POST /v1/run", "admission", "simulate", "replay", "cell"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("Histograms missing %q: %v", want, names)
 		}
@@ -149,7 +149,7 @@ func TestBalanceViolations(t *testing.T) {
 	}
 
 	// Spans started after Finish are dropped, not leaked: the balance
-	// holds even when a batch executor outlives a canceled request.
+	// holds even when background work outlives a canceled request.
 	tr3 := telemetry.New(telemetry.Options{Clock: c.Now})
 	req3 := tr3.StartTrace("r")
 	req3.Finish()
