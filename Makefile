@@ -37,6 +37,8 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzReadFrom -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzPipelineModesAgree -fuzztime=30s ./internal/ooo
 	$(GO) test -fuzz=FuzzObsEncoding -fuzztime=30s ./internal/obs
+	$(GO) test -fuzz=FuzzTAGEMatchesReference -fuzztime=30s ./internal/branch
+	$(GO) test -fuzz=FuzzOracleMatchesReference -fuzztime=30s ./internal/fusion
 
 experiments-smoke:
 	$(GO) run ./cmd/experiments -id fig2 -insts 2000 -metrics

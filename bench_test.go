@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"helios/internal/branch"
 	"helios/internal/core"
 	"helios/internal/emu"
 	"helios/internal/experiments"
@@ -300,23 +301,66 @@ func BenchmarkFP(b *testing.B) {
 	}
 }
 
-// BenchmarkOracle measures the perfect-pairing engine's observe path.
-func BenchmarkOracle(b *testing.B) {
-	o := fusion.NewOracle(fusion.DefaultPairConfig())
+// frontendBudget sizes the front-end rungs. Each records a
+// 100k-instruction typeset stream before the timer starts, so one op
+// times a single layer over it and the emulator stays out.
+const frontendBudget = 100_000
+
+func recordFrontendStream(b *testing.B) *trace.Recording {
 	w, _ := workloads.ByName("typeset")
-	s, err := w.Trace(uint64(b.N))
+	rec, err := w.Record(frontendBudget)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return rec
+}
+
+// BenchmarkOracle measures the perfect-pairing engine: one op observes
+// every record of the stream, from a Reset oracle.
+func BenchmarkOracle(b *testing.B) {
+	rec := recordFrontendStream(b)
+	o := fusion.NewOracle(fusion.DefaultPairConfig())
+	b.ReportAllocs()
 	b.ResetTimer()
+	pairs := 0
 	for i := 0; i < b.N; i++ {
-		r, ok := s.Next()
-		if !ok {
-			s, _ = w.Trace(uint64(b.N))
-			continue
+		o.Reset()
+		for j := 0; j < rec.Len(); j++ {
+			if _, ok := o.Observe(rec.At(j)); ok {
+				pairs++
+			}
 		}
-		o.Observe(r)
 	}
+	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+}
+
+// BenchmarkTAGE measures the baseline direction predictor the way the
+// frontend drives it: one op resolves every conditional branch of the
+// stream, in order, on a fresh predictor of the default size.
+func BenchmarkTAGE(b *testing.B) {
+	rec := recordFrontendStream(b)
+	var brs []emu.Retired
+	for j := 0; j < rec.Len(); j++ {
+		if r := rec.At(j); r.Inst.Op.IsBranch() {
+			brs = append(brs, r)
+		}
+	}
+	logSize := ooo.DefaultConfig(fusion.ModeNoFusion).TAGELogSize
+	b.ReportAllocs()
+	b.ResetTimer()
+	mispredicts := 0
+	for i := 0; i < b.N; i++ {
+		t := branch.NewTAGE(logSize)
+		var h branch.History
+		for _, r := range brs {
+			if t.Resolve(r.PC, h.Bits(), r.Taken) != r.Taken {
+				mispredicts++
+			}
+			h.Push(r.Taken)
+		}
+	}
+	b.ReportMetric(float64(len(brs)), "branches/op")
+	b.ReportMetric(float64(mispredicts)/float64(b.N), "mispredicts/op")
 }
 
 var sinkRetired emu.Retired

@@ -1,7 +1,9 @@
 package branch
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -110,6 +112,106 @@ func TestFoldHistory(t *testing.T) {
 	}
 	if foldHistory(0, 64, 10) != 0 {
 		t.Error("fold of zero history must be zero")
+	}
+
+	// The early-exit loop must equal the reference loop for every
+	// (histLen, width) TAGE folds with: index widths at logSize 10 and 11,
+	// and the two tag widths.
+	r := rand.New(rand.NewSource(3))
+	ghrs := []uint64{0, 1, ^uint64(0), 1 << 63, 0x8000_0000_0000_0001}
+	for i := 0; i < 200; i++ {
+		// Vary the length of the set history too: short GHRs are where
+		// the loop exits early.
+		ghrs = append(ghrs, r.Uint64()>>uint(r.Intn(64)))
+	}
+	for _, hl := range tageHistLens {
+		for _, width := range []uint{10, 11, 8, 7} {
+			for _, ghr := range ghrs {
+				if got, want := foldHistory(ghr, hl, width), refFoldHistory(ghr, hl, width); got != want {
+					t.Fatalf("foldHistory(%#x, %d, %d) = %#x, reference %#x", ghr, hl, width, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzTAGEMatchesReference drives the one-lookup TAGE and the reference
+// copy with the same (pc, ghr, taken) sequence. Every step must give the
+// same prediction and leave both with identical tables and tick. Each
+// step takes four bytes: two select the PC from a small set (so entries
+// alias and allocation runs out of non-useful slots), one is mixed into
+// the history at a position the fourth chooses, and the fourth's low bits
+// give the outcome and whether the step uses Resolve or Predict+Update.
+func FuzzTAGEMatchesReference(f *testing.F) {
+	f.Add(uint8(4), []byte("\x10\x00\x00\x01\x10\x00\x00\x00\x20\x01\xff\x83"))
+	f.Add(uint8(10), []byte("0123456789abcdefghijklmnopqrstuvwxyz"))
+	// History bits above 32 only: the 32- and 64-length components differ.
+	f.Add(uint8(4), []byte("\x00\x00\x03\x88\x00\x00\x03\x89\x00\x00\x03\x8a"))
+	f.Fuzz(func(t *testing.T, logSize uint8, data []byte) {
+		ls := uint(2 + logSize%9) // 2..10: small tables collide often
+		got, ref := NewTAGE(ls), newRefTAGE(ls)
+		var h History
+		for step := 0; len(data) >= 4; step, data = step+1, data[4:] {
+			pc := 0x1000 + uint64(data[0])<<2 + uint64(data[1]&7)<<12
+			ghr := h.Bits() ^ uint64(data[2])<<(data[3]>>2)
+			taken := data[3]&1 != 0
+			want := ref.Predict(pc, ghr)
+			ref.Update(pc, ghr, taken)
+			var pred bool
+			if data[3]&2 != 0 {
+				pred = got.Resolve(pc, ghr, taken)
+			} else {
+				pred = got.Predict(pc, ghr)
+				got.Update(pc, ghr, taken)
+			}
+			if pred != want {
+				t.Fatalf("step %d: pc=%#x ghr=%#x: prediction %v, reference %v", step, pc, ghr, pred, want)
+			}
+			if diff := tageStateDiff(got, ref); diff != "" {
+				t.Fatalf("step %d: pc=%#x ghr=%#x taken=%v: %s", step, pc, ghr, taken, diff)
+			}
+			h.Push(taken)
+		}
+	})
+}
+
+// tageStateDiff describes the first difference between the two
+// predictors' state, or returns "" when they match.
+func tageStateDiff(got *TAGE, ref *refTAGE) string {
+	if got.tick != ref.tick {
+		return fmt.Sprintf("tick %d, reference %d", got.tick, ref.tick)
+	}
+	if !slices.Equal(got.base.table, ref.base.table) {
+		return "base bimodal tables differ"
+	}
+	if len(got.comps) != len(ref.comps) {
+		return fmt.Sprintf("%d components, reference %d", len(got.comps), len(ref.comps))
+	}
+	for i := range got.comps {
+		g, r := got.comps[i].entries, ref.comps[i].entries
+		for j := range r {
+			if g[j].tag != r[j].tag || g[j].ctr != r[j].ctr || g[j].useful != r[j].useful {
+				return fmt.Sprintf("component %d entry %d = %+v, reference %+v", i, j, g[j], r[j])
+			}
+		}
+	}
+	return ""
+}
+
+// TestTAGEResolveNoAllocs pins the frontend's per-branch call: one
+// lookup and the training it feeds allocate nothing.
+func TestTAGEResolveNoAllocs(t *testing.T) {
+	p := NewTAGE(10)
+	var h History
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		taken := i%3 != 0
+		p.Resolve(0x400+uint64(i%64)*4, h.Bits(), taken)
+		h.Push(taken)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("Resolve allocates %.1f per call, want 0", allocs)
 	}
 }
 

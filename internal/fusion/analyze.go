@@ -92,7 +92,6 @@ func AnalyzeTrace(src trace.Source, cfg PairConfig) (TraceStats, error) {
 
 	var pending emu.Retired // previous µ-op not yet consumed by a pair
 	havePending := false
-	var recent []emu.Retired // for catalyst hazard inspection
 
 	for {
 		r, ok := src.Next()
@@ -124,10 +123,6 @@ func AnalyzeTrace(src trace.Source, cfg PairConfig) (TraceStats, error) {
 		}
 
 		// Address-based pairing (Figures 4 & 5).
-		recent = append(recent, r)
-		if len(recent) > cfg.MaxDist+1 {
-			recent = recent[1:]
-		}
 		if p, ok := oracle.Observe(r); ok {
 			st.DistanceSum += uint64(p.Distance)
 			if p.Consecutive() {
@@ -153,7 +148,7 @@ func AnalyzeTrace(src trace.Source, cfg PairConfig) (TraceStats, error) {
 					st.NCSFAsymmetric++
 				}
 				// Inspect the catalyst for register hazards.
-				if span := spanFor(recent, p); span != nil && CatalystHasRegHazard(span) {
+				if span := spanFor(oracle.window(), p); span != nil && CatalystHasRegHazard(span) {
 					st.NCSFWithRegHazard++
 				}
 			}

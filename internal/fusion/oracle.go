@@ -48,10 +48,23 @@ func (p Pairing) Consecutive() bool { return p.Distance == 1 }
 // stream: every memory µ-op is matched with the closest older unpaired
 // memory µ-op that forms an eligible pair. It implements the OracleFusion
 // configuration and is also the analysis engine behind Figures 4 and 5.
+//
+// Between Resets, Observe requires records in strictly increasing Seq
+// order, so a record is never already paired when it arrives. Both users
+// guarantee it: the pipeline rejects an out-of-sequence source
+// (ooo.validateRecord) and re-primes after a Reset from an increasing
+// range of it, and AnalyzeTrace reads the emulator's stream.
 type Oracle struct {
-	cfg    PairConfig
-	window []emu.Retired // the last cfg.MaxDist+1 records, oldest first
-	paired map[uint64]bool
+	cfg PairConfig
+
+	// The window is buf[lo:hi]: the last cfg.MaxDist+1 records, oldest
+	// first. buf holds two windows, so Observe writes in place and copies
+	// the window down to the front once per cfg.MaxDist+1 records.
+	buf    []emu.Retired
+	lo, hi int
+	// noHead[i] is set when buf[i] cannot head a pair: it is not a memory
+	// µ-op, or it is already paired.
+	noHead []bool
 }
 
 // NewOracle creates an oracle with the given eligibility rules.
@@ -62,7 +75,8 @@ func NewOracle(cfg PairConfig) *Oracle {
 	if cfg.MaxDist <= 0 {
 		cfg.MaxDist = 64
 	}
-	return &Oracle{cfg: cfg, paired: make(map[uint64]bool)}
+	n := 2 * (cfg.MaxDist + 1)
+	return &Oracle{cfg: cfg, buf: make([]emu.Retired, n), noHead: make([]bool, n)}
 }
 
 // Observe consumes the next committed record in program order. If r (as a
@@ -70,37 +84,43 @@ func NewOracle(cfg PairConfig) *Oracle {
 // pairing is returned.
 func (o *Oracle) Observe(r emu.Retired) (Pairing, bool) {
 	// Maintain the sliding window.
-	o.window = append(o.window, r)
-	if len(o.window) > o.cfg.MaxDist+1 {
-		evicted := o.window[0]
-		o.window = o.window[1:]
-		delete(o.paired, evicted.Seq)
+	if o.hi == len(o.buf) {
+		n := copy(o.buf, o.buf[o.lo:o.hi])
+		copy(o.noHead, o.noHead[o.lo:o.hi])
+		o.lo, o.hi = 0, n
 	}
-	if r.MemSize == 0 || o.paired[r.Seq] {
+	tail := o.hi
+	o.buf[tail] = r
+	o.noHead[tail] = r.MemSize == 0
+	o.hi++
+	if o.hi-o.lo > o.cfg.MaxDist+1 {
+		o.lo++
+	}
+	if r.MemSize == 0 {
 		return Pairing{}, false
 	}
 
-	tailIdx := len(o.window) - 1
-	maxBack := o.cfg.MaxDist
+	oldest := o.lo
 	if o.cfg.ConsecutiveOnly {
-		maxBack = 1
+		oldest = max(oldest, tail-1)
 	}
-	for back := 1; back <= maxBack && tailIdx-back >= 0; back++ {
-		headIdx := tailIdx - back
-		h := o.window[headIdx]
-		if p, ok := o.tryPair(headIdx, tailIdx, h, r); ok {
-			o.paired[h.Seq] = true
-			o.paired[r.Seq] = true
+	for head := tail - 1; head >= oldest; head-- {
+		if o.noHead[head] {
+			continue
+		}
+		if p, ok := o.tryPair(o.buf[head : tail+1]); ok {
+			o.noHead[head] = true
+			o.noHead[tail] = true
 			return p, true
 		}
 	}
 	return Pairing{}, false
 }
 
-func (o *Oracle) tryPair(headIdx, tailIdx int, h, t emu.Retired) (Pairing, bool) {
-	if h.MemSize == 0 || o.paired[h.Seq] {
-		return Pairing{}, false
-	}
+// tryPair checks whether span's first record (an unpaired memory µ-op)
+// and its last form an eligible pair across the records between them.
+func (o *Oracle) tryPair(span []emu.Retired) (Pairing, bool) {
+	h, t := &span[0], &span[len(span)-1]
 	var kind uop.FuseKind
 	switch {
 	case h.IsLoad() && t.IsLoad():
@@ -124,7 +144,6 @@ func (o *Oracle) tryPair(headIdx, tailIdx int, h, t emu.Retired) (Pairing, bool)
 	if o.cfg.ContiguousOnly && cat != uop.AddrContiguous {
 		return Pairing{}, false
 	}
-	span := o.window[headIdx : tailIdx+1]
 	if CatalystHasSerializing(span) {
 		return Pairing{}, false
 	}
@@ -143,8 +162,8 @@ func (o *Oracle) tryPair(headIdx, tailIdx int, h, t emu.Retired) (Pairing, bool)
 		if CatalystHasStore(span) {
 			return Pairing{}, false
 		}
-		for _, rec := range span[1 : len(span)-1] {
-			if rec.Inst.WritesReg(h.Inst.Rs1) {
+		for i := 1; i < len(span)-1; i++ {
+			if span[i].Inst.WritesReg(h.Inst.Rs1) {
 				return Pairing{}, false
 			}
 		}
@@ -160,9 +179,12 @@ func (o *Oracle) tryPair(headIdx, tailIdx int, h, t emu.Retired) (Pairing, bool)
 	}, true
 }
 
+// window returns the records the oracle holds, oldest first: the last
+// MaxDist+1 observed since the last Reset.
+func (o *Oracle) window() []emu.Retired { return o.buf[o.lo:o.hi] }
+
 // Reset clears the window (used on pipeline flushes when the oracle is
 // re-primed from the restart point).
 func (o *Oracle) Reset() {
-	o.window = o.window[:0]
-	o.paired = make(map[uint64]bool)
+	o.lo, o.hi = 0, 0
 }

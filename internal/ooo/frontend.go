@@ -77,9 +77,7 @@ func (p *Pipeline) frontendStage() {
 		switch {
 		case rec.Inst.Op.IsBranch():
 			p.st.Branches++
-			pred := p.tage.Predict(rec.PC, p.ghr.Bits())
-			p.tage.Update(rec.PC, p.ghr.Bits(), rec.Taken)
-			mispred := pred != rec.Taken
+			mispred := p.tage.Resolve(rec.PC, p.ghr.Bits(), rec.Taken) != rec.Taken
 			if rec.Taken && !mispred {
 				if _, ok := p.btb.Lookup(rec.PC); !ok {
 					mispred = true // taken but no target available

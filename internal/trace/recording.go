@@ -15,22 +15,41 @@ type Recording struct {
 	recs []emu.Retired
 }
 
+// recordChunk is how many records Record buffers per chunk while it
+// drains a source (288 KiB of emu.Retired): large enough that chunk
+// bookkeeping is noise, small enough that a short stream stays small.
+const recordChunk = 4096
+
 // Record drains src into a new Recording. If the stream ended on an
 // emulation fault, the fault is returned and no recording is produced —
 // a truncated trace must never masquerade as a complete one.
+//
+// The stream's length is not known up front, so Record fills fixed-size
+// chunks and copies them once into an exactly-sized slice: no record is
+// copied while the buffer grows, and the recording holds no spare
+// capacity for its lifetime.
 func Record(src Source) (*Recording, error) {
-	var recs []emu.Retired
+	var full [][]emu.Retired
+	cur := make([]emu.Retired, 0, recordChunk)
 	for {
 		r, ok := src.Next()
 		if !ok {
 			break
 		}
-		recs = append(recs, r)
+		if len(cur) == recordChunk {
+			full = append(full, cur)
+			cur = make([]emu.Retired, 0, recordChunk)
+		}
+		cur = append(cur, r)
 	}
 	if err := src.Err(); err != nil {
 		return nil, err
 	}
-	return &Recording{recs: recs}, nil
+	recs := make([]emu.Retired, 0, len(full)*recordChunk+len(cur))
+	for _, c := range full {
+		recs = append(recs, c...)
+	}
+	return &Recording{recs: append(recs, cur...)}, nil
 }
 
 // FromRecords builds a Recording directly from records (tests, decoders).
