@@ -68,7 +68,7 @@ serve-smoke:
 	./scripts/heliosd_smoke.sh
 
 # Matches the CI telemetry-smoke job: heliosd with span tracing on, a
-# cached + uncached + observed request mix, Prometheus exposition lint,
+# cached + uncached + observed request mix, OpenMetrics exposition lint,
 # obs-artifact byte-identity against heliossim, and a Perfetto trace.
 telemetry-smoke:
 	./scripts/telemetry_smoke.sh

@@ -132,13 +132,14 @@ func main() {
 	}
 }
 
-// defaultBenchRe is the committed trajectory set: the suite-level wall
-// benchmark (serial and parallel scheduler), the replay hot path with
-// observability off and on, one replay rung per fusion machinery
+// defaultBenchRe is the committed trajectory set: the replay hot path
+// with observability off and on, one replay rung per fusion machinery
 // (NoFusion, Helios, Oracle), the two front-end layers alone over a
 // recorded stream (BenchmarkTAGE, BenchmarkOracle), and heliosd request
-// latency over HTTP (BenchmarkServeRun: hit, miss, obs).
-const defaultBenchRe = "^(BenchmarkSuiteFig10|BenchmarkSuiteParallel|BenchmarkPipelineObsOff|BenchmarkPipelineObsOn|BenchmarkPipelineNoFusion|BenchmarkPipelineHelios|BenchmarkPipelineOracle|BenchmarkTAGE|BenchmarkOracle|BenchmarkServeRun)$"
+// latency over HTTP (BenchmarkServeRun: hit, miss, obs). The suite-level
+// wall time is perfbench's fig10-cold workload, which has goldens and
+// noise bounds.
+const defaultBenchRe = "^(BenchmarkPipelineObsOff|BenchmarkPipelineObsOn|BenchmarkPipelineNoFusion|BenchmarkPipelineHelios|BenchmarkPipelineOracle|BenchmarkTAGE|BenchmarkOracle|BenchmarkServeRun)$"
 
 // parseInto scans `go test -bench` output. Benchmark result lines look
 // like:

@@ -15,7 +15,7 @@
 //	workloads
 //	health    [-wait 30s]   poll /healthz until the server answers
 //	ready
-//	metrics   [-watch 2s [-count N]] [-prom|-om [-lint]]
+//	metrics   [-watch 2s [-count N]] [-om [-lint]]
 //	trace     [-id N] [-out trace.json]   fetch /tracez (Perfetto-loadable)
 //	triage    [-outcome error] [-workload W] [-min-ms 50] [-limit N]
 //	          [-follow 2s] [-json]   read the flight recorder
@@ -282,43 +282,33 @@ func writeArtifact(a *serve.Artifact, path string) {
 		len(data), a.Kind, path)
 }
 
-// cmdMetrics fetches /metricz once or in -watch mode, in JSON,
-// Prometheus 0.0.4 (-prom) or OpenMetrics (-om) form; -lint runs the
-// repo's exposition linter over the text output and fails on the first
-// violation (the CI smoke job's promtool stand-in). In -om mode the
-// lint additionally resolves every exemplar's trace_id against
-// /tracez?id=, so a dangling /metricz→/tracez deep link is an error.
+// cmdMetrics fetches /metricz once or in -watch mode, in JSON or
+// OpenMetrics (-om) form; -lint runs the repo's exposition linter over
+// the OpenMetrics output and fails on the first violation (the CI smoke
+// job's promtool stand-in). The lint also resolves every exemplar's
+// trace_id against /tracez?id=, so a dangling /metricz→/tracez deep
+// link is an error.
 func cmdMetrics(c *client, args []string) {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
 	watch := fs.Duration("watch", 0, "poll /metricz at this interval (0 = fetch once)")
 	count := fs.Int("count", 0, "with -watch: stop after this many samples (0 = until interrupted)")
-	prom := fs.Bool("prom", false, "fetch the Prometheus text exposition instead of JSON")
-	om := fs.Bool("om", false, "fetch the OpenMetrics exposition (histogram buckets carry trace exemplars)")
-	lint := fs.Bool("lint", false, "with -prom/-om: lint the exposition, fail on violations")
+	om := fs.Bool("om", false, "fetch the OpenMetrics exposition instead of JSON (histogram buckets carry trace exemplars)")
+	lint := fs.Bool("lint", false, "with -om: lint the exposition, fail on violations")
 	fs.Parse(args)
-	if *prom && *om {
-		fatalf("metrics: -prom and -om are mutually exclusive")
-	}
-	if *lint && !*prom && !*om {
-		fatalf("metrics: -lint requires -prom or -om")
+	if *lint && !*om {
+		fatalf("metrics: -lint requires -om")
 	}
 	path := "/metricz?format=json"
-	switch {
-	case *prom:
-		path = "/metricz?format=prometheus"
-	case *om:
+	if *om {
 		path = "/metricz?format=openmetrics"
 	}
 	sample := func() {
 		status, body := c.getRetry(path)
 		if *lint && status == 200 {
-			opts := telemetry.LintOptions{OpenMetrics: *om}
-			if *om {
-				opts.ResolveTrace = func(traceID string) bool {
-					st, _ := c.get("/tracez?id=" + url.QueryEscape(traceID))
-					return st == 200
-				}
-			}
+			opts := telemetry.LintOptions{ResolveTrace: func(traceID string) bool {
+				st, _ := c.get("/tracez?id=" + url.QueryEscape(traceID))
+				return st == 200
+			}}
 			if err := telemetry.LintExpositionOptions(bytes.NewReader(body), opts); err != nil {
 				fatalf("metrics: exposition lint: %v", err)
 			}

@@ -19,7 +19,7 @@
 //	POST /v1/diff          a rendered differential report
 //	GET  /v1/workloads     the registered workload catalogue
 //	GET  /healthz /readyz  liveness and readiness
-//	GET  /metricz          JSON, Prometheus 0.0.4 or OpenMetrics (exemplars)
+//	GET  /metricz          JSON or OpenMetrics (exemplars)
 //	GET  /tracez           retained traces (?id= for one — the exemplar deep link)
 //	GET  /debugz/requests  the flight recorder (heliosctl triage reads this)
 //

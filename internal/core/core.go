@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -43,9 +44,10 @@ import (
 // engineSchema names the cycle-level engine's semantic generation. Bump
 // it when the model changes in a way that makes previously computed
 // results incomparable (new stall accounting, different fusion rules,
-// ...): every result cache — the in-process Suite cache and any
-// content-addressed store built on EngineVersion — keys on it, so a
-// schema bump invalidates stale results instead of serving them.
+// ...): every result store that outlives the process — heliosd's
+// manifests and any content-addressed store built on EngineVersion —
+// keys on it, so a schema bump invalidates stale results instead of
+// serving them.
 const engineSchema = "helios-engine/1"
 
 // engineVersion is computed once per process: the semantic schema plus
@@ -79,10 +81,9 @@ var engineVersion = func() string {
 }()
 
 // EngineVersion identifies the simulation engine this process runs:
-// the semantic schema plus the build's VCS revision. It is folded into
-// every Suite cache key and is the engine component of heliosd's
-// content-addressed result keys, so results produced by a different
-// engine can never be served as current.
+// the semantic schema plus the build's VCS revision. It is the engine
+// component of heliosd's content-addressed result keys, so results
+// produced by a different engine can never be served as current.
 func EngineVersion() string { return engineVersion }
 
 // Result is the outcome of simulating one workload under one fusion mode.
@@ -195,10 +196,13 @@ func (m Metrics) WallRows() [][2]string {
 	return rows
 }
 
-// Suite runs and caches simulations across workloads and modes, fanning
-// out across CPUs. Each workload is functionally emulated exactly once
-// per instruction budget; every mode replays the recording. The zero
-// value is not usable; use NewSuite.
+// Suite runs and caches simulations across workloads and machine
+// configurations, fanning out across CPUs. Each workload is functionally
+// emulated exactly once per instruction budget; every configuration
+// replays the recording. It holds the process's one result cache:
+// experiment drivers, heliosd's /v1/run and /v1/suite, and heliosd's
+// warm start all read and fill it. The zero value is not usable; use
+// NewSuite.
 type Suite struct {
 	MaxInsts uint64 // per-run instruction budget (0 = workload default)
 
@@ -209,16 +213,16 @@ type Suite struct {
 	metrics Metrics
 }
 
-// suiteKey identifies one cached Result. It carries everything the
-// result depends on: the workload, the fusion mode, the resolved
-// instruction budget and the engine version — so a budget change (or a
-// result produced by a different engine build) can never be served as a
-// hit for the current request.
+// suiteKey identifies one cached Result: the workload, the resolved
+// instruction budget and the whole machine configuration (cfg.Obs
+// cleared), so a budget or configuration change can never be served a
+// stale result. The engine is not part of it: within one process it is
+// constant, and heliosd's warm start rejects manifests from another
+// engine before they reach the cache.
 type suiteKey struct {
 	workload string
-	mode     fusion.Mode
 	budget   uint64
-	engine   string
+	cfg      ooo.Config
 }
 
 type traceKey struct {
@@ -248,25 +252,40 @@ func (s *Suite) Metrics() Metrics {
 }
 
 // CacheSnapshot returns the cached result keys as sorted
-// "workload/mode@budget" strings. The result cache is map-keyed, so the
+// "workload/mode@budget" strings, with "+custom" appended for a machine
+// other than the mode's default. The result cache is map-keyed, so the
 // iteration here is explicitly sorted — `experiments -metrics` output
 // and crash-dump context must be byte-stable across identical runs.
-// The engine component is omitted: within one process it is constant.
 func (s *Suite) CacheSnapshot() []string {
 	var keys []string
 	for _, k := range s.results.Keys() {
-		keys = append(keys, fmt.Sprintf("%s/%s@%d", k.workload, k.mode, k.budget))
+		key := fmt.Sprintf("%s/%s@%d", k.workload, k.cfg.Mode, k.budget)
+		if k.cfg != ooo.DefaultConfig(k.cfg.Mode) {
+			key += "+custom"
+		}
+		keys = append(keys, key)
 	}
 	sort.Strings(keys)
 	return keys
 }
 
-// budget returns the effective per-run instruction bound for w.
-func (s *Suite) budget(w workloads.Workload) uint64 {
-	if s.MaxInsts != 0 {
-		return s.MaxInsts
+// CacheLen reports how many results the cache holds.
+func (s *Suite) CacheLen() int { return s.results.Len() }
+
+// resolve looks the workload up and resolves a per-call budget: 0 is
+// the suite's budget, falling back to the workload's own.
+func (s *Suite) resolve(name string, budget uint64) (workloads.Workload, uint64, error) {
+	w, ok := workloads.ByName(name)
+	if !ok {
+		return w, 0, fmt.Errorf("core: unknown workload %q", name)
 	}
-	return w.MaxInsts
+	if budget == 0 {
+		budget = s.MaxInsts
+	}
+	if budget == 0 {
+		budget = w.MaxInsts
+	}
+	return w, budget, nil
 }
 
 // SeedRecording pre-populates the trace cache with an externally
@@ -278,69 +297,102 @@ func (s *Suite) SeedRecording(rec *trace.Recording) {
 	s.traces.Add(traceKey{rec.Name, rec.MaxInsts}, traceEntry{rec: rec})
 }
 
+// SeedResult pre-populates the result cache with a result computed
+// earlier (heliosd restores them from disk at boot), keyed like Result
+// under the resolved, non-zero budget. It reports whether r was stored:
+// a key that already has a result, or a run in flight, keeps it.
+func (s *Suite) SeedResult(name string, cfg ooo.Config, budget uint64, r *Result) bool {
+	cfg.Obs = nil
+	return s.results.Add(suiteKey{name, budget, cfg}, r)
+}
+
 // Get returns the (cached) result for one workload/mode pair at the
-// suite's budget. Concurrent calls for the same uncached key share a
-// single simulation. Context failures abort the wait or the run but are
-// never cached, so a later Get with a live context retries.
+// suite's budget on the mode's default machine.
 func (s *Suite) Get(ctx context.Context, name string, mode fusion.Mode) (*Result, error) {
 	return s.GetBudget(ctx, name, mode, 0)
 }
 
 // GetBudget is Get with an explicit per-call instruction budget
 // (0 = the suite's own budget, falling back to the workload default).
-// The resolved budget is part of the cache key, so one Suite serves
-// mixed-budget traffic — heliosd's request path — without any risk of a
-// budget change returning a stale result.
 func (s *Suite) GetBudget(ctx context.Context, name string, mode fusion.Mode, budget uint64) (*Result, error) {
-	w, ok := workloads.ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown workload %q", name)
+	r, _, err := s.Result(ctx, name, ooo.DefaultConfig(mode), budget)
+	return r, err
+}
+
+// Result is the one memoized result path: the result of workload name
+// on machine cfg (cfg.Obs is ignored) for budget instructions (0 = the
+// suite's budget, falling back to the workload default). Concurrent
+// calls for the same uncached key share one simulation; the Outcome
+// says how this call was served (flight.Hit alone is a pure cache hit).
+// Errors are cached, since a deterministic run that faults will fault
+// again, except context failures, which abort the wait or the run but
+// are never cached, so a later call with a live context retries.
+//
+// With a telemetry trace on ctx, the call opens a cache_read span and,
+// on a miss, record and replay spans after it, on the ctx's scheduler
+// lane. A miss looks the workload's recording up once.
+func (s *Suite) Result(ctx context.Context, name string, cfg ooo.Config, budget uint64) (*Result, flight.Outcome, error) {
+	w, budget, err := s.resolve(name, budget)
+	if err != nil {
+		return nil, 0, err
 	}
-	if budget == 0 {
-		budget = s.budget(w)
-	}
-	r, how, err := s.results.Do(ctx, suiteKey{name, mode, budget, engineVersion}, func() (*Result, error) {
-		return s.run(ctx, w, mode, budget)
+	cfg.Obs = nil
+	// cache_read covers the lookup and any wait on an identical run. A
+	// miss ends it before running, so the record and replay spans follow
+	// it on the lane instead of nesting in it.
+	rd := telemetry.FromContext(ctx).StartLane("cache_read", laneFrom(ctx))
+	ran := false
+	r, how, err := s.results.Do(ctx, suiteKey{name, budget, cfg}, func() (*Result, error) {
+		ran = true
+		rd.SetAttr("hit", "false")
+		rd.SetBool("coalesced", false)
+		rd.End()
+		return s.run(ctx, w, cfg, budget)
 	})
+	if !ran {
+		rd.SetAttr("hit", strconv.FormatBool(how&flight.Hit != 0))
+		rd.SetBool("coalesced", how&flight.Wait != 0)
+		rd.End()
+	}
 	if how&flight.Wait != 0 {
 		s.mu.Lock()
 		s.metrics.DedupedRuns++
 		s.mu.Unlock()
 	}
-	return r, err
+	return r, how, err
 }
 
 // run performs one uncached simulation: fetch (or make) the workload's
-// recording, replay it through the pipeline under the given mode, and on
-// a replay failure degrade to one live re-emulation.
-func (s *Suite) run(ctx context.Context, w workloads.Workload, mode fusion.Mode, budget uint64) (*Result, error) {
+// recording, replay it through the pipeline on cfg, and on a replay
+// failure degrade to one live re-emulation.
+func (s *Suite) run(ctx context.Context, w workloads.Workload, cfg ooo.Config, budget uint64) (*Result, error) {
+	tr, lane := telemetry.FromContext(ctx), laneFrom(ctx)
+	sp := tr.StartLane("record", lane)
 	rec, err := s.recording(ctx, w, budget)
+	sp.SetBool("err", err != nil)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	return s.replayDegrade(ctx, w, ooo.DefaultConfig(mode), rec, budget)
+	sp = tr.StartLane("replay", lane)
+	sp.SetBool("custom", cfg != ooo.DefaultConfig(cfg.Mode))
+	r, err := s.replayDegrade(ctx, w, cfg, rec, budget)
+	sp.SetBool("err", err != nil)
+	sp.End()
+	return r, err
 }
 
 // ReplayConfig replays the workload's shared recording under an explicit
-// machine configuration, with the same graceful degradation as Get: a
-// recording that fails to replay is re-emulated live exactly once. The
-// result is never cached here — custom configurations are open-ended, so
-// caching is the caller's job (heliosd keys them by content hash) — but
-// the record-once trace and its repair path are fully shared with the
-// default-config traffic.
+// machine configuration, with the same graceful degradation as Result: a
+// recording that fails to replay is re-emulated live exactly once. Unlike
+// Result it never reads or fills the result cache — each call is a fresh
+// replay — but the record-once trace and its repair path are shared.
 func (s *Suite) ReplayConfig(ctx context.Context, name string, cfg ooo.Config, budget uint64) (*Result, error) {
-	w, ok := workloads.ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown workload %q", name)
-	}
-	if budget == 0 {
-		budget = s.budget(w)
-	}
-	rec, err := s.recording(ctx, w, budget)
+	w, budget, err := s.resolve(name, budget)
 	if err != nil {
 		return nil, err
 	}
-	return s.replayDegrade(ctx, w, cfg, rec, budget)
+	return s.run(ctx, w, cfg, budget)
 }
 
 // replayDegrade is the replay half of one simulation: run the recording
@@ -407,25 +459,16 @@ func (s *Suite) ObserveReplay(ctx context.Context, name string, mode fusion.Mode
 // record-once trace as the cached result for that key. cfg.Obs is
 // overwritten with ob; everything else is the caller's.
 func (s *Suite) ObserveReplayConfig(ctx context.Context, name string, cfg ooo.Config, budget uint64, ob *obs.Observer) (*Result, error) {
-	w, ok := workloads.ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown workload %q", name)
-	}
-	if budget == 0 {
-		budget = s.budget(w)
+	w, budget, err := s.resolve(name, budget)
+	if err != nil {
+		return nil, err
 	}
 	rec, err := s.recording(ctx, w, budget)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Obs = ob
-	start := time.Now() //helios:nondeterminism-ok wall-time metrics only; simulated results never read it
-	r, err := RunSource(ctx, name, cfg, rec.Replay(), budget)
-	s.mu.Lock()
-	s.metrics.Replays++
-	s.metrics.PipelineRuns++
-	s.metrics.SimTime += time.Since(start)
-	s.mu.Unlock()
+	r, err := s.replay(ctx, name, cfg, rec, budget)
 	if err != nil {
 		return r, err
 	}
@@ -443,18 +486,14 @@ func (s *Suite) Recording(ctx context.Context, name string) (*trace.Recording, e
 }
 
 // RecordingBudget is Recording with an explicit instruction budget
-// (0 = the suite's budget). heliosd calls it first on a cache miss, so
-// the request's trace shows the record phase apart from the replay.
-// Like every entry point it runs under the caller's context: a
-// recording cut short by its leader's deadline is not cached, and a
-// concurrent caller whose context is still live records it again.
+// (0 = the suite's budget). Like every entry point it runs under the
+// caller's context: a recording cut short by its leader's deadline is
+// not cached, and a concurrent caller whose context is still live
+// records it again.
 func (s *Suite) RecordingBudget(ctx context.Context, name string, budget uint64) (*trace.Recording, error) {
-	w, ok := workloads.ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown workload %q", name)
-	}
-	if budget == 0 {
-		budget = s.budget(w)
+	w, budget, err := s.resolve(name, budget)
+	if err != nil {
+		return nil, err
 	}
 	return s.recording(ctx, w, budget)
 }

@@ -1,7 +1,7 @@
 // Package flight holds Memo, the one memoizing singleflight behind the
-// suite's result and recording caches and heliosd's result cache: per
-// key, the first caller runs the computation, concurrent callers wait
-// for it, and later callers get the stored result.
+// suite's result and recording caches: per key, the first caller runs
+// the computation, concurrent callers wait for it, and later callers
+// get the stored result.
 package flight
 
 import (
@@ -30,15 +30,25 @@ const (
 // error, unless the error is a context failure: that belongs to the
 // caller whose context ended, not to the key, so the next caller runs
 // fn again. The zero value is ready to use.
+//
+// Each key is one map entry holding both its stored result and its
+// in-flight run, so a miss inserts the key once: keys larger than 128
+// bytes (the suite's machine configurations) cost one allocation each
+// time they are inserted.
 type Memo[K comparable, V any] struct {
-	mu    sync.Mutex
-	vals  map[K]result[V]
-	calls map[K]chan struct{} // closed when the key's run ends
+	mu      sync.Mutex
+	entries map[K]entry[V] // keys with a stored result or a run in flight
+	stored  int            // entries with a stored result
 }
 
-type result[V any] struct {
-	val V
-	err error
+type entry[V any] struct {
+	val      V
+	err      error
+	stored   bool
+	inflight bool
+	// done is closed when the in-flight run ends. It is made by the
+	// first caller that waits, so an uncontended run allocates none.
+	done chan struct{}
 }
 
 // Do returns the result stored for key, waits for the run already in
@@ -53,29 +63,34 @@ func (m *Memo[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (V, Ou
 // stored until then, and Do keeps returning it. A nil stale is Do.
 func (m *Memo[K, V]) Redo(ctx context.Context, key K, stale func(V) bool, fn func() (V, error)) (v V, how Outcome, err error) {
 	m.mu.Lock()
+	var e entry[V]
 	for {
-		if r, ok := m.vals[key]; ok && (stale == nil || !stale(r.val)) {
+		e = m.entries[key]
+		if e.stored && (stale == nil || !stale(e.val)) {
 			m.mu.Unlock()
-			return r.val, how | Hit, r.err
+			return e.val, how | Hit, e.err
 		}
-		done, inflight := m.calls[key]
-		if !inflight {
+		if !e.inflight {
 			break
+		}
+		if e.done == nil {
+			e.done = make(chan struct{})
+			m.entries[key] = e
 		}
 		m.mu.Unlock()
 		how |= Wait
 		select {
-		case <-done:
+		case <-e.done:
 		case <-ctx.Done():
 			return v, how, ctx.Err()
 		}
 		m.mu.Lock()
 	}
-	done := make(chan struct{})
-	if m.calls == nil {
-		m.calls = make(map[K]chan struct{})
+	if m.entries == nil {
+		m.entries = make(map[K]entry[V])
 	}
-	m.calls[key] = done
+	e.inflight = true // e keeps a stale stored value until fn replaces it
+	m.entries[key] = e
 	m.mu.Unlock()
 
 	// The deferred release also runs if fn panics: nothing is stored and
@@ -83,15 +98,24 @@ func (m *Memo[K, V]) Redo(ctx context.Context, key K, stale func(V) bool, fn fun
 	returned := false
 	defer func() {
 		m.mu.Lock()
+		e := m.entries[key]
+		done := e.done
+		e.inflight, e.done = false, nil
 		if returned && !IsCtxErr(err) {
-			if m.vals == nil {
-				m.vals = make(map[K]result[V])
+			if !e.stored {
+				m.stored++
 			}
-			m.vals[key] = result[V]{v, err}
+			e.val, e.err, e.stored = v, err, true
 		}
-		delete(m.calls, key)
+		if e.stored {
+			m.entries[key] = e
+		} else {
+			delete(m.entries, key)
+		}
 		m.mu.Unlock()
-		close(done)
+		if done != nil {
+			close(done)
+		}
 	}()
 	v, err = fn()
 	returned = true
@@ -103,16 +127,14 @@ func (m *Memo[K, V]) Redo(ctx context.Context, key K, stale func(V) bool, fn fun
 func (m *Memo[K, V]) Add(key K, v V) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.vals[key]; ok {
+	if _, ok := m.entries[key]; ok {
 		return false
 	}
-	if _, ok := m.calls[key]; ok {
-		return false
+	if m.entries == nil {
+		m.entries = make(map[K]entry[V])
 	}
-	if m.vals == nil {
-		m.vals = make(map[K]result[V])
-	}
-	m.vals[key] = result[V]{val: v}
+	m.entries[key] = entry[V]{val: v, stored: true}
+	m.stored++
 	return true
 }
 
@@ -120,16 +142,18 @@ func (m *Memo[K, V]) Add(key K, v V) bool {
 func (m *Memo[K, V]) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.vals)
+	return m.stored
 }
 
 // Keys returns the keys with a stored result, in no particular order.
 func (m *Memo[K, V]) Keys() []K {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	keys := make([]K, 0, len(m.vals))
-	for k := range m.vals {
-		keys = append(keys, k)
+	keys := make([]K, 0, m.stored)
+	for k, e := range m.entries {
+		if e.stored {
+			keys = append(keys, k)
+		}
 	}
 	return keys
 }

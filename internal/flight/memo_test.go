@@ -225,3 +225,18 @@ func TestPanicReleasesWaiters(t *testing.T) {
 		t.Errorf("after a panic: (%d, %b, %v), want (4, Run, nil)", v, how, err)
 	}
 }
+
+// TestUncontendedRunNoAllocs: the wait channel is made only by a caller
+// that waits, so a run nobody waits on allocates nothing in Memo (a
+// context-failed run is never stored, so every call here runs fn).
+func TestUncontendedRunNoAllocs(t *testing.T) {
+	var m Memo[int, int]
+	fn := func() (int, error) { return 0, context.Canceled }
+	m.Do(context.Background(), 1, fn)
+	if a := testing.AllocsPerRun(100, func() { m.Do(context.Background(), 1, fn) }); a != 0 {
+		t.Errorf("uncontended run allocated %.1f times, want 0", a)
+	}
+	if n := m.Len(); n != 0 {
+		t.Errorf("Len = %d after context-failed runs, want 0", n)
+	}
+}

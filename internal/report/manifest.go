@@ -78,9 +78,9 @@ type Manifest struct {
 	// ResultKey, Budget and Engine are stamped by heliosd (optional —
 	// absent from manifests written by heliossim or older builds).
 	// Together they make a manifest directory double as a warm-start
-	// index for the service's content-addressed result cache: ResultKey
-	// must reproduce from (Workload, Config, Budget, Engine), so a
-	// reader can verify an entry before trusting it.
+	// index for the service's result cache: ResultKey must reproduce
+	// from (Workload, Config, Budget, Engine), so a reader can verify an
+	// entry before trusting it.
 	ResultKey string `json:",omitempty"`
 	Budget    uint64 `json:",omitempty"`
 	Engine    string `json:",omitempty"`

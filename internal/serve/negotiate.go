@@ -6,113 +6,44 @@ import (
 	"strings"
 )
 
-// metricsFormat is the /metricz exposition format resolved by
-// negotiation.
-type metricsFormat int
-
-const (
-	formatJSON metricsFormat = iota // structured JSON document (default)
-	formatProm                      // Prometheus text 0.0.4
-	formatOM                        // OpenMetrics 1.0.0, exemplars when telemetry is on
-)
-
-// negotiateMetrics resolves the /metricz response format. The
-// precedence is deterministic and documented (DESIGN.md §17):
+// negotiateMetrics resolves the /metricz response format (DESIGN.md
+// §17) and reports whether it is OpenMetrics; otherwise it is JSON.
 //
-//  1. An explicit ?format= query wins outright: "json", "prometheus"
-//     (alias "text"), or "openmetrics". Any other value is a typed 400
-//     — a misspelled format must not silently fall back to a different
-//     scrape syntax.
-//  2. Otherwise the Accept header is parsed with RFC 9110 quality
-//     factors over the three supported types. Each media range counts
-//     toward the most specific offer it names: application/openmetrics-text,
-//     text/plain (the 0.0.4 exposition), application/json. The
-//     wildcards map deterministically: text/* → text/plain, and
-//     application/* and */* → application/json (JSON is the canonical
-//     default document). Unknown types and malformed elements are
-//     ignored. Highest q wins; ties break by specificity (exact >
-//     partial wildcard > */*), then by server preference
-//     openmetrics > prometheus > json.
-//  3. No Accept header, nothing acceptable (every matching offer at
-//     q=0), or only unknown types: JSON.
-func negotiateMetrics(format, accept string) (metricsFormat, *Error) {
+//  1. An explicit ?format= query wins outright: "json" or
+//     "openmetrics". Any other value is a typed 400 — a misspelled or
+//     retired format must not silently fall back to a different syntax.
+//  2. Otherwise the reply is OpenMetrics when the Accept header lists
+//     application/openmetrics-text with a q other than 0, as a stock
+//     Prometheus scrape does, and JSON in every other case. An element
+//     with a malformed q is ignored.
+func negotiateMetrics(format, accept string) (bool, *Error) {
 	switch format {
 	case "json":
-		return formatJSON, nil
-	case "prometheus", "text":
-		return formatProm, nil
+		return false, nil
 	case "openmetrics":
-		return formatOM, nil
+		return true, nil
 	case "":
 	default:
-		return formatJSON, &Error{Kind: ErrBadRequest,
-			Msg: fmt.Sprintf("unknown format %q (want json, prometheus or openmetrics)", format)}
-	}
-
-	type vote struct {
-		q    float64
-		spec int
-		set  bool
-	}
-	// Index by metricsFormat; preference order for exact ties is
-	// om > prom > json.
-	votes := [3]vote{}
-	cast := func(f metricsFormat, q float64, spec int) {
-		v := &votes[f]
-		if !v.set || q > v.q || (q == v.q && spec > v.spec) {
-			*v = vote{q: q, spec: spec, set: true}
-		}
+		return false, &Error{Kind: ErrBadRequest,
+			Msg: fmt.Sprintf("unknown format %q (want json or openmetrics)", format)}
 	}
 	for _, elem := range strings.Split(accept, ",") {
-		parts := strings.Split(elem, ";")
-		mt := strings.ToLower(strings.TrimSpace(parts[0]))
-		if mt == "" {
+		mt, params, _ := strings.Cut(elem, ";")
+		if !strings.EqualFold(strings.TrimSpace(mt), "application/openmetrics-text") {
 			continue
 		}
 		q := 1.0
-		bad := false
-		for _, p := range parts[1:] {
-			p = strings.TrimSpace(p)
-			if rest, ok := strings.CutPrefix(p, "q="); ok {
-				parsed, err := strconv.ParseFloat(rest, 64)
-				if err != nil || parsed < 0 || parsed > 1 {
-					bad = true // malformed q: ignore the whole element
-					break
+		for _, p := range strings.Split(params, ";") {
+			if rest, ok := strings.CutPrefix(strings.TrimSpace(p), "q="); ok {
+				var err error
+				if q, err = strconv.ParseFloat(rest, 64); err != nil || q > 1 {
+					q = 0 // malformed q: ignore the element
 				}
-				q = parsed
 			}
 		}
-		if bad {
-			continue
-		}
-		switch mt {
-		case "application/openmetrics-text":
-			cast(formatOM, q, 2)
-		case "text/plain":
-			cast(formatProm, q, 2)
-		case "application/json":
-			cast(formatJSON, q, 2)
-		case "text/*":
-			cast(formatProm, q, 1)
-		case "application/*":
-			cast(formatJSON, q, 1)
-		case "*/*":
-			cast(formatJSON, q, 0)
+		if q > 0 {
+			return true, nil
 		}
 	}
-	best := formatJSON
-	bestVote := vote{}
-	for _, f := range []metricsFormat{formatOM, formatProm, formatJSON} {
-		v := votes[f]
-		if !v.set || v.q == 0 {
-			continue
-		}
-		if !bestVote.set || v.q > bestVote.q || (v.q == bestVote.q && v.spec > bestVote.spec) {
-			best, bestVote = f, v
-		}
-	}
-	if !bestVote.set {
-		return formatJSON, nil
-	}
-	return best, nil
+	return false, nil
 }

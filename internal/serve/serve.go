@@ -15,9 +15,11 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"helios/internal/core"
+	"helios/internal/flight"
 	"helios/internal/fusion"
 	"helios/internal/obs"
 	"helios/internal/ooo"
@@ -112,13 +114,14 @@ type Counters struct {
 }
 
 // Server is the heliosd service core: it owns the suite (record-once
-// cache + scheduler), the content-addressed result cache and the
-// robustness envelope. It is transport-agnostic — Handler returns the
+// trace cache, the result cache and the scheduler) and the robustness
+// envelope. It is transport-agnostic — Handler returns the
 // http.Handler; the cmd owns the listener.
 type Server struct {
 	cfg   Config
 	suite *core.Suite
-	cache resultCache
+	// hits, misses and coalesced count /v1/run result-cache outcomes.
+	hits, misses, coalesced atomic.Uint64
 	// tel is nil unless Config.Telemetry — the nil pointer IS the
 	// disabled state, so the request path never branches on a flag.
 	tel *telemetry.Tracer
@@ -128,9 +131,9 @@ type Server struct {
 	// warmEntries counts results restored from CacheDir at boot; written
 	// once before traffic, read-only after.
 	warmEntries int
-	// missHook, when set, runs at the start of every cache miss with the
-	// request's context. Tests use it to hold requests in flight; it is
-	// nil in production.
+	// missHook, when set, runs just before every /v1/run result lookup
+	// with the request's context. Tests use it to hold requests in
+	// flight; it is nil in production.
 	missHook func(ctx context.Context)
 
 	wg sync.WaitGroup
@@ -452,10 +455,10 @@ func classify(err error) *Error {
 // resolveRun turns a RunRequest into a fully resolved (name, config,
 // budget) triple, validating every axis against the registered
 // workloads and the paper's fusion modes.
-func (s *Server) resolveRun(req *RunRequest) (name string, cfg ooo.Config, budget uint64, custom bool, e *Error) {
+func (s *Server) resolveRun(req *RunRequest) (name string, cfg ooo.Config, budget uint64, e *Error) {
 	wl, ok := workloads.ByName(req.Workload)
 	if !ok {
-		return "", cfg, 0, false, &Error{Kind: ErrBadRequest,
+		return "", cfg, 0, &Error{Kind: ErrBadRequest,
 			Msg: fmt.Sprintf("unknown workload %q (GET /v1/workloads lists them)", req.Workload)}
 	}
 	budget = req.Insts
@@ -467,10 +470,10 @@ func (s *Server) resolveRun(req *RunRequest) (name string, cfg ooo.Config, budge
 	}
 	if req.Config != nil {
 		if req.Mode != "" && req.Mode != req.Config.Mode.String() {
-			return "", cfg, 0, false, &Error{Kind: ErrBadRequest,
+			return "", cfg, 0, &Error{Kind: ErrBadRequest,
 				Msg: fmt.Sprintf("mode %q conflicts with config.Mode %q", req.Mode, req.Config.Mode)}
 		}
-		return wl.Name, *req.Config, budget, true, nil
+		return wl.Name, *req.Config, budget, nil
 	}
 	modeName := req.Mode
 	if modeName == "" {
@@ -478,10 +481,10 @@ func (s *Server) resolveRun(req *RunRequest) (name string, cfg ooo.Config, budge
 	}
 	mode, ok := fusion.ModeByName(modeName)
 	if !ok {
-		return "", cfg, 0, false, &Error{Kind: ErrBadRequest,
+		return "", cfg, 0, &Error{Kind: ErrBadRequest,
 			Msg: fmt.Sprintf("unknown fusion mode %q (want one of %v)", modeName, fusion.Modes)}
 	}
-	return wl.Name, ooo.DefaultConfig(mode), budget, false, nil
+	return wl.Name, ooo.DefaultConfig(mode), budget, nil
 }
 
 func (s *Server) handleRun(ctx0 context.Context, r *http.Request) (any, *Error) {
@@ -489,7 +492,7 @@ func (s *Server) handleRun(ctx0 context.Context, r *http.Request) (any, *Error) 
 	if e := decodeJSON(r, &req); e != nil {
 		return nil, e
 	}
-	name, cfg, budget, custom, e := s.resolveRun(&req)
+	name, cfg, budget, e := s.resolveRun(&req)
 	if e != nil {
 		return nil, e
 	}
@@ -513,13 +516,24 @@ func (s *Server) handleRun(ctx0 context.Context, r *http.Request) (any, *Error) 
 		return s.runObs(ctx, &req, name, cfg, budget, key)
 	}
 
-	res, cached, coalesced, err := s.cache.do(ctx, key, func() (*core.Result, error) {
-		return s.simulate(ctx, name, cfg, budget, custom)
-	})
+	if s.missHook != nil {
+		s.missHook(ctx)
+	}
+	res, how, err := s.suite.Result(ctx, name, cfg, budget)
+	if how&flight.Hit != 0 {
+		s.hits.Add(1)
+	}
+	if how&flight.Run != 0 {
+		s.misses.Add(1)
+	}
+	if how&flight.Wait != 0 {
+		s.coalesced.Add(1)
+	}
 	if err != nil {
 		return nil, classify(err)
 	}
-	tr.SetAttr("cached", boolStr(cached))
+	cached, coalesced := how == flight.Hit, how&flight.Wait != 0
+	tr.SetAttr("cached", strconv.FormatBool(cached))
 	if fs != nil {
 		switch {
 		case cached:
@@ -546,44 +560,6 @@ func (s *Server) handleRun(ctx0 context.Context, r *http.Request) (any, *Error) 
 		IPC:       res.Stats.IPC(),
 		Stats:     res.Stats,
 	}, nil
-}
-
-// simulate runs one cache miss on the request's goroutine and under its
-// context: the workload's shared recording first, then the replay for
-// this machine. Concurrent misses on one workload share the record
-// phase through the suite, which records each (workload, budget) once.
-func (s *Server) simulate(ctx context.Context, name string, cfg ooo.Config, budget uint64, custom bool) (*core.Result, error) {
-	if s.missHook != nil {
-		s.missHook(ctx)
-	}
-	tr := telemetry.FromContext(ctx)
-	sp := tr.Start("record")
-	_, err := s.suite.RecordingBudget(ctx, name, budget)
-	sp.SetBool("err", err != nil)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	sp = tr.Start("replay")
-	sp.SetBool("custom", custom)
-	var res *core.Result
-	if custom {
-		res, err = s.suite.ReplayConfig(ctx, name, cfg, budget)
-	} else {
-		// Default machine: go through the suite cache so server traffic
-		// and suite-endpoint cells share results.
-		res, err = s.suite.GetBudget(ctx, name, cfg.Mode, budget)
-	}
-	sp.SetBool("err", err != nil)
-	sp.End()
-	return res, err
-}
-
-func boolStr(v bool) string {
-	if v {
-		return "true"
-	}
-	return "false"
 }
 
 // obsDefaultInterval is the interval sampler period (in committed µops)
@@ -860,7 +836,7 @@ type health struct {
 }
 
 func (s *Server) healthSnapshot() health {
-	entries, _, _, _ := s.cache.stats()
+	entries := s.suite.CacheLen()
 	lf := s.suite.Metrics().LiveFallbacks
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -903,7 +879,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // HistSummary is the JSON rendering of a latency histogram: count,
 // mean and the P50/P95/P99 percentiles, all in the histogram's base
 // unit (microseconds for heliosd). Both /metricz forms derive from the
-// same stats.Histogram, so JSON percentiles and Prometheus buckets can
+// same stats.Histogram, so JSON percentiles and OpenMetrics buckets can
 // never disagree about the underlying distribution.
 type HistSummary struct {
 	Count uint64 `json:"count"`
@@ -947,7 +923,8 @@ type metricsSnapshot struct {
 
 func (s *Server) snapshotMetrics() metricsSnapshot {
 	var snap metricsSnapshot
-	snap.cacheEntries, snap.cacheHits, snap.cacheMisses, snap.cacheCoalesced = s.cache.stats()
+	snap.cacheEntries = s.suite.CacheLen()
+	snap.cacheHits, snap.cacheMisses, snap.cacheCoalesced = s.hits.Load(), s.misses.Load(), s.coalesced.Load()
 	snap.suite = s.suite.Metrics()
 	snap.tracing = s.tel.Metrics()
 	snap.spanHists = s.tel.Histograms()
@@ -987,19 +964,18 @@ func policyMap(rows []telemetry.PolicyCount) map[string]uint64 {
 }
 
 // handleMetricz content-negotiates the metrics surface via
-// negotiateMetrics (see its doc comment for the full precedence): the
-// structured JSON document by default, Prometheus text 0.0.4 for
-// classic scrapers, OpenMetrics 1.0.0 — with trace exemplars on the
-// histogram buckets when telemetry is on — for clients that ask for it.
+// negotiateMetrics: the structured JSON document by default, and
+// OpenMetrics 1.0.0 — with trace exemplars on the histogram buckets
+// when telemetry is on — for scrapers that ask for it.
 func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
-	format, fe := negotiateMetrics(r.URL.Query().Get("format"), r.Header.Get("Accept"))
+	om, fe := negotiateMetrics(r.URL.Query().Get("format"), r.Header.Get("Accept"))
 	if fe != nil {
 		writeError(w, fe)
 		return
 	}
 	snap := s.snapshotMetrics()
-	if format != formatJSON {
-		s.writeProm(w, snap, format == formatOM)
+	if om {
+		s.writeOpenMetrics(w, snap)
 		return
 	}
 	payload := struct {
@@ -1067,22 +1043,15 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, payload)
 }
 
-// writeProm renders the snapshot as Prometheus exposition 0.0.4 or,
-// when om is set, OpenMetrics 1.0.0 with trace exemplars on the
-// histogram buckets. The name scheme follows the convention in
-// DESIGN.md §16: heliosd_ prefix, _total suffix on counters, base units
-// spelled out in the name. Both dialects pass telemetry's linter —
-// CI's telemetry-smoke job asserts exactly that, and in OpenMetrics
-// mode additionally that every exemplar resolves via /tracez.
-func (s *Server) writeProm(w http.ResponseWriter, snap metricsSnapshot, om bool) {
-	var p *telemetry.PromWriter
-	if om {
-		w.Header().Set("Content-Type", telemetry.OpenMetricsContentType)
-		p = telemetry.NewOpenMetricsWriter(w)
-	} else {
-		w.Header().Set("Content-Type", telemetry.PromContentType)
-		p = telemetry.NewPromWriter(w)
-	}
+// writeOpenMetrics renders the snapshot as OpenMetrics 1.0.0 with
+// trace exemplars on the histogram buckets. The name scheme follows the
+// convention in DESIGN.md §16: heliosd_ prefix, _total suffix on
+// counter samples, base units spelled out in the name. The exposition
+// passes telemetry's linter — CI's telemetry-smoke job asserts exactly
+// that, including that every exemplar resolves via /tracez.
+func (s *Server) writeOpenMetrics(w http.ResponseWriter, snap metricsSnapshot) {
+	w.Header().Set("Content-Type", telemetry.OpenMetricsContentType)
+	p := telemetry.NewOpenMetricsWriter(w)
 	p.Counter("heliosd_requests_admitted_total", "Requests admitted past the bounded queue.", snap.c.Admitted)
 	p.CounterVec("heliosd_requests_rejected_total", "Requests refused at admission, by reason.", []telemetry.LabeledValue{
 		{Labels: []telemetry.Label{{Name: "reason", Value: "overload"}}, Value: snap.c.RejectedOverload},
@@ -1116,7 +1085,7 @@ func (s *Server) writeProm(w http.ResponseWriter, snap metricsSnapshot, om bool)
 	p.Counter("heliosd_suite_live_fallbacks_total", "Corrupt recordings degraded to live re-emulation.", snap.suite.LiveFallbacks)
 	// keep filters exemplars to currently retained traces at exposition
 	// time, so every emitted trace_id deep-links into /tracez. Nil tel
-	// (or 0.0.4 mode) emits no exemplars at all.
+	// emits no exemplars at all.
 	keep := func(id uint64) bool { return s.tel.Retained(id) }
 	p.HistogramEx("heliosd_request_duration_microseconds", "Completed-request wall time.",
 		snap.latency, telemetry.Exemplars{Set: &snap.latencyEx, Keep: keep})
@@ -1155,7 +1124,7 @@ func (s *Server) writeProm(w http.ResponseWriter, snap metricsSnapshot, om bool)
 	}
 	p.Close()
 	if err := p.Err(); err != nil {
-		s.logf("serve: prometheus exposition: %v", err)
+		s.logf("serve: openmetrics exposition: %v", err)
 	}
 }
 

@@ -166,8 +166,77 @@ func TestRunCachedAndCoalesced(t *testing.T) {
 	}
 }
 
-// TestRunCustomConfig: a custom machine bypasses the default cache but
-// still gets a content key, and a config change changes the key.
+// TestRunCountsOneTraceLookup: a /v1/run miss looks its recording up
+// once. A cold miss is one trace miss and no trace hit, a repeat is a
+// result-cache hit that touches no recording, and a custom machine on
+// the recorded workload is exactly one trace hit.
+func TestRunCountsOneTraceLookup(t *testing.T) {
+	s, ts := newTestServer(t, testConfig())
+	run := func(req RunRequest) RunResponse {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/run", req)
+		if resp.StatusCode != 200 {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		return decodeRun(t, body)
+	}
+	check := func(when string, misses, hits, runs uint64) {
+		t.Helper()
+		m := s.Suite().Metrics()
+		if m.TraceMisses != misses || m.TraceHits != hits || m.PipelineRuns != runs {
+			t.Errorf("%s: TraceMisses=%d TraceHits=%d PipelineRuns=%d, want %d/%d/%d",
+				when, m.TraceMisses, m.TraceHits, m.PipelineRuns, misses, hits, runs)
+		}
+	}
+	req := RunRequest{Workload: "crc32", Mode: "Helios"}
+	run(req)
+	check("cold miss", 1, 0, 1)
+	if !run(req).Cached {
+		t.Error("repeat was not a cache hit")
+	}
+	check("repeat", 1, 0, 1)
+	cfg := ooo.DefaultConfig(fusion.ModeHelios)
+	cfg.ROBSize = 64
+	if run(RunRequest{Workload: "crc32", Config: &cfg}).Cached {
+		t.Error("custom machine was served from the cache")
+	}
+	check("custom miss on a recorded workload", 1, 1, 2)
+}
+
+// TestRunAfterSuiteIsCached pins the one result cache at the service
+// boundary: a /v1/run for a default-machine key that /v1/suite has just
+// computed is a cache hit with the suite's numbers, and runs no
+// pipeline.
+func TestRunAfterSuiteIsCached(t *testing.T) {
+	s, ts := newTestServer(t, testConfig())
+	resp, body := postJSON(t, ts.URL+"/v1/suite", SuiteRequest{Workloads: []string{"crc32"}, Modes: []string{"Helios"}})
+	if resp.StatusCode != 200 {
+		t.Fatalf("suite: status %d: %s", resp.StatusCode, body)
+	}
+	var sr SuiteResponse
+	if err := json.Unmarshal(body, &sr); err != nil || len(sr.Cells) != 1 {
+		t.Fatalf("suite response %s: %v", body, err)
+	}
+	runs := s.Suite().Metrics().PipelineRuns
+
+	resp, body = postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "crc32", Mode: "Helios"})
+	if resp.StatusCode != 200 {
+		t.Fatalf("run: status %d: %s", resp.StatusCode, body)
+	}
+	rr := decodeRun(t, body)
+	if !rr.Cached {
+		t.Error("run after suite of the same key was not a cache hit")
+	}
+	if rr.Stats.Cycles != sr.Cells[0].Cycles {
+		t.Errorf("run cycles %d != suite cell cycles %d", rr.Stats.Cycles, sr.Cells[0].Cycles)
+	}
+	if got := s.Suite().Metrics().PipelineRuns; got != runs {
+		t.Errorf("PipelineRuns moved %d -> %d on a cached key", runs, got)
+	}
+}
+
+// TestRunCustomConfig: a custom machine gets its own content key, and
+// a config change changes the key.
 func TestRunCustomConfig(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
 	cfg := ooo.DefaultConfig(fusion.ModeHelios)

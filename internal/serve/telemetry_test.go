@@ -292,7 +292,7 @@ func firstLine(b []byte) string {
 
 // TestMetriczContentNegotiation checks both /metricz renderings: the
 // JSON document keeps its shape (with the histogram summary and, with
-// telemetry on, span summaries), and the Prometheus form passes the
+// telemetry on, span summaries), and the OpenMetrics form passes the
 // repo's own exposition linter with the expected families present.
 func TestMetriczContentNegotiation(t *testing.T) {
 	_, ts := newTestServer(t, telemetryConfig())
@@ -328,18 +328,18 @@ func TestMetriczContentNegotiation(t *testing.T) {
 		t.Errorf("spans block lacks admission summary: %v", doc.Spans)
 	}
 
-	// Prometheus negotiation via query param and via Accept header.
-	for _, u := range []string{ts.URL + "/metricz?format=prometheus", ts.URL + "/metricz"} {
+	// OpenMetrics negotiation via query param and via Accept header.
+	for _, u := range []string{ts.URL + "/metricz?format=openmetrics", ts.URL + "/metricz"} {
 		preq, _ := http.NewRequest("GET", u, nil)
-		preq.Header.Set("Accept", "text/plain")
+		preq.Header.Set("Accept", "application/openmetrics-text")
 		presp, err := http.DefaultClient.Do(preq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pbody, _ := io.ReadAll(presp.Body)
 		presp.Body.Close()
-		if ct := presp.Header.Get("Content-Type"); ct != telemetry.PromContentType {
-			t.Fatalf("prometheus Content-Type = %q", ct)
+		if ct := presp.Header.Get("Content-Type"); ct != telemetry.OpenMetricsContentType {
+			t.Fatalf("openmetrics Content-Type = %q", ct)
 		}
 		if err := telemetry.LintExposition(strings.NewReader(string(pbody))); err != nil {
 			t.Fatalf("exposition lint: %v\n%s", err, pbody)
@@ -356,9 +356,9 @@ func TestMetriczContentNegotiation(t *testing.T) {
 		}
 	}
 
-	// format=json forces JSON even under a text Accept header.
+	// format=json forces JSON even under an OpenMetrics Accept header.
 	jreq, _ := http.NewRequest("GET", ts.URL+"/metricz?format=json", nil)
-	jreq.Header.Set("Accept", "text/plain")
+	jreq.Header.Set("Accept", "application/openmetrics-text")
 	jresp, err := http.DefaultClient.Do(jreq)
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +375,7 @@ func TestMetriczContentNegotiation(t *testing.T) {
 func TestMetriczPromDisabledTelemetry(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
 	postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "crc32", Mode: "Helios"})
-	resp, err := http.Get(ts.URL + "/metricz?format=prometheus")
+	resp, err := http.Get(ts.URL + "/metricz?format=openmetrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,11 @@ import (
 )
 
 // warmCache scans dir for result manifests written by a previous
-// heliosd process and installs every verifiable one into the
-// content-addressed result cache, so a restart serves yesterday's
-// results as cache hits instead of re-simulating them.
+// heliosd process and seeds every verifiable one into the suite's
+// result cache, so a restart serves yesterday's results as cache hits
+// (to /v1/run and /v1/suite alike) instead of re-simulating them. A
+// key already cached keeps its result, and seeded entries count as
+// neither hits nor misses until a request reads them.
 //
 // The scan is deliberately paranoid — an on-disk manifest is input, not
 // truth: a file is skipped (with a log line, never an error — a corrupt
@@ -71,7 +73,7 @@ func (s *Server) warmCache(dir string) int {
 			s.logf("serve: cache warm: %s mode %q disagrees with config, skipping", path, m.Mode)
 			continue
 		}
-		if s.cache.warm(key, &core.Result{Workload: m.Workload, Mode: m.Config.Mode, Stats: m.Stats}) {
+		if s.suite.SeedResult(m.Workload, m.Config, m.Budget, &core.Result{Workload: m.Workload, Mode: m.Config.Mode, Stats: m.Stats}) {
 			warmed++
 		}
 	}

@@ -13,11 +13,12 @@ import (
 	"helios/internal/report"
 )
 
-// TestCacheWarmRoundTrip is the warm-start satellite end to end: a
-// first server computes results into -cache-dir manifests, a second
-// server booted on the same directory serves them as cache hits
-// without re-simulating, and the restored count is visible on
-// /metricz (JSON warm_entries and the Prometheus gauge).
+// TestCacheWarmRoundTrip is the warm start end to end: a first server
+// computes results into -cache-dir manifests, a second server booted on
+// the same directory serves them as cache hits without re-simulating —
+// to /v1/run and to /v1/suite, which share the one result cache — and
+// the restored count is visible on /metricz (JSON warm_entries and the
+// OpenMetrics gauge).
 func TestCacheWarmRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 
@@ -56,6 +57,22 @@ func TestCacheWarmRoundTrip(t *testing.T) {
 		t.Errorf("first request after warm boot was not a cache hit: %s", body)
 	}
 
+	// A suite cell for the other warmed key is served from the cache too.
+	resp, body = postJSON(t, tsB.URL+"/v1/suite", SuiteRequest{Workloads: []string{"qsort"}, Modes: []string{"NoFusion"}})
+	if resp.StatusCode != 200 {
+		t.Fatalf("warm suite: %d %s", resp.StatusCode, body)
+	}
+	var sr SuiteResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if len(sr.Cells) != 1 || sr.Cells[0].Error != nil || sr.Cells[0].Cycles == 0 {
+		t.Fatalf("warm suite cells = %+v", sr.Cells)
+	}
+	if m := sB.Suite().Metrics(); m.PipelineRuns != 0 || m.TraceMisses != 0 {
+		t.Errorf("warmed keys ran the pipeline: PipelineRuns=%d TraceMisses=%d, want 0/0", m.PipelineRuns, m.TraceMisses)
+	}
+
 	// The gauge is on both metric surfaces.
 	mresp, err := http.Get(tsB.URL + "/metricz")
 	if err != nil {
@@ -73,7 +90,7 @@ func TestCacheWarmRoundTrip(t *testing.T) {
 	if doc.Cache.WarmEntries != 2 {
 		t.Errorf("metricz warm_entries = %d, want 2", doc.Cache.WarmEntries)
 	}
-	presp, err := http.Get(tsB.URL + "/metricz?format=prometheus")
+	presp, err := http.Get(tsB.URL + "/metricz?format=openmetrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +100,7 @@ func TestCacheWarmRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(pbody), "heliosd_cache_warm_entries 2") {
-		t.Errorf("prometheus exposition lacks heliosd_cache_warm_entries 2:\n%s", pbody)
+		t.Errorf("openmetrics exposition lacks heliosd_cache_warm_entries 2:\n%s", pbody)
 	}
 }
 

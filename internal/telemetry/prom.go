@@ -13,57 +13,39 @@ import (
 	"helios/internal/stats"
 )
 
-// PromWriter renders Prometheus text exposition format 0.0.4
-// (`text/plain; version=0.0.4`) or, via NewOpenMetricsWriter,
-// OpenMetrics 1.0.0: one HELP/TYPE header per metric family followed
-// by its samples. Callers emit families in order; the writer tracks
-// seen names and refuses a family that reappears after another
-// family's samples (promtool rejects ungrouped families). Errors
-// latch: the first write or format error is kept and later calls
-// no-op.
+// PromWriter renders the OpenMetrics 1.0.0 text exposition: one
+// HELP/TYPE header per metric family followed by its samples. Callers
+// emit families in order; the writer tracks seen names and refuses a
+// family that reappears after another family's samples (promtool
+// rejects ungrouped families). Errors latch: the first write or format
+// error is kept and later calls no-op.
 //
-// The OpenMetrics dialect differs in three ways, all handled here so
-// call sites are format-agnostic: counter families are TYPE-declared
-// without the `_total` suffix (samples keep it), histogram bucket
-// samples may carry `# {trace_id="..."} value timestamp` exemplars,
-// and the exposition must end with `# EOF` (Close emits it).
+// Callers name counters with their `_total` suffix; the writer
+// TYPE-declares the family without it, as OpenMetrics requires.
+// Histogram bucket samples may carry `# {trace_id="..."} value
+// timestamp` exemplars, and the exposition ends with `# EOF` (Close
+// emits it).
 type PromWriter struct {
 	w    io.Writer
-	om   bool
 	err  error
 	seen map[string]bool
-	last string
 }
 
-// PromContentType is the Content-Type of the classic 0.0.4 exposition.
-const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
-
 // OpenMetricsContentType is the Content-Type of the OpenMetrics
-// exposition — the version heliosd advertises when exemplars are on.
+// exposition, the only text form heliosd serves.
 const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
 var promNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
-// NewPromWriter wraps w in the classic 0.0.4 dialect; exemplars passed
-// to HistogramEx/HistogramVec are silently dropped (0.0.4 has no
-// exemplar syntax).
-func NewPromWriter(w io.Writer) *PromWriter {
-	return &PromWriter{w: w, seen: make(map[string]bool)}
-}
-
-// NewOpenMetricsWriter wraps w in the OpenMetrics 1.0.0 dialect.
+// NewOpenMetricsWriter wraps w in an OpenMetrics 1.0.0 writer.
 // Callers must Close() the writer to terminate the exposition with
 // `# EOF` (LintExposition enforces it).
 func NewOpenMetricsWriter(w io.Writer) *PromWriter {
-	return &PromWriter{w: w, om: true, seen: make(map[string]bool)}
+	return &PromWriter{w: w, seen: make(map[string]bool)}
 }
 
-// Close terminates an OpenMetrics exposition. No-op in 0.0.4 mode.
-func (p *PromWriter) Close() {
-	if p.om {
-		p.printf("# EOF\n")
-	}
-}
+// Close terminates the exposition.
+func (p *PromWriter) Close() { p.printf("# EOF\n") }
 
 // Err reports the latched error, if any.
 func (p *PromWriter) Err() error { return p.err }
@@ -87,9 +69,8 @@ func (p *PromWriter) header(name, typ, help string) {
 		return
 	}
 	p.seen[name] = true
-	p.last = name
 	fam := name
-	if p.om && typ == "counter" {
+	if typ == "counter" {
 		// OpenMetrics declares the counter family without _total; the
 		// samples keep the suffix.
 		fam = strings.TrimSuffix(name, "_total")
@@ -168,22 +149,20 @@ func (p *PromWriter) Histogram(name, help string, h stats.Histogram, labels ...L
 // Exemplars attaches an ExemplarSet to a histogram emission. Keep, when
 // non-nil, is the retention filter: exemplars whose trace it rejects
 // are skipped, so a bucket never links to a trace /tracez has evicted.
-// Ignored entirely in 0.0.4 mode.
 type Exemplars struct {
 	Set  *ExemplarSet
 	Keep func(traceID uint64) bool
 }
 
-// HistogramEx is Histogram plus per-bucket exemplars (OpenMetrics mode
-// only). Each exposed `le` bucket carries the newest retained exemplar
-// among the underlying fine buckets it covers.
+// HistogramEx is Histogram plus per-bucket exemplars. Each exposed `le`
+// bucket carries the newest retained exemplar among the underlying fine
+// buckets it covers.
 func (p *PromWriter) HistogramEx(name, help string, h stats.Histogram, ex Exemplars, labels ...Label) {
 	p.header(name, "histogram", help)
 	p.histSeries(name, labels, h, ex)
 }
 
-// LabeledHist is one series of a HistogramVec family. Ex is optional
-// and only consulted in OpenMetrics mode.
+// LabeledHist is one series of a HistogramVec family. Ex is optional.
 type LabeledHist struct {
 	Labels []Label
 	Hist   stats.Histogram
@@ -217,7 +196,7 @@ func (p *PromWriter) histSeries(name string, labels []Label, h stats.Histogram, 
 }
 
 func (p *PromWriter) pickExemplar(ex Exemplars, lo, hi int) *Exemplar {
-	if !p.om || ex.Set == nil {
+	if ex.Set == nil {
 		return nil
 	}
 	e, ok := ex.Set.Pick(lo, hi, ex.Keep)
@@ -249,30 +228,29 @@ func escapeHelp(s string) string {
 
 // LintExposition is the promtool-shaped checker the CI smoke job runs
 // against /metricz output — stdlib-only, mirroring `promtool check
-// metrics`-adjacent parse rules for format 0.0.4:
+// metrics`-adjacent parse rules for OpenMetrics 1.0.0:
 //
 //   - metric and label names match the Prometheus grammar
 //   - TYPE lines precede their family's samples, appear at most once,
 //     and carry a known type; HELP at most once per family
 //   - families are contiguous (no interleaving) and samples parse as
-//     <name>{labels} <value> with a float-parseable value
+//     <name>{labels} <value> with a float-parseable value; a counter
+//     family declared without `_total` owns its `_total` samples
 //   - no duplicate name+labelset
+//   - `# {...}` exemplars appear only on _bucket and _total samples and
+//     carry a trace_id; on a bucket their value lies inside it
 //   - histogram families have ascending cumulative le buckets ending
 //     in +Inf, plus _sum and _count, with _count equal to the +Inf
 //     bucket
+//   - the exposition ends with `# EOF`
 //
 // It returns the first violation found, prefixed with its line number.
 func LintExposition(r io.Reader) error {
 	return LintExpositionOptions(r, LintOptions{})
 }
 
-// LintOptions extends the linter to the OpenMetrics dialect.
+// LintOptions extends the linter with checks against live state.
 type LintOptions struct {
-	// OpenMetrics switches on the 1.0.0 rules: the exposition must end
-	// with `# EOF`, counter families are TYPE-declared without `_total`
-	// while samples keep it, and `# {...}` exemplars are legal on
-	// _bucket and _total samples (they are an error in 0.0.4 mode).
-	OpenMetrics bool
 	// ResolveTrace, when non-nil, is the retention-consistency check:
 	// every exemplar's trace_id must resolve (heliosctl points it at
 	// /tracez?id=..., tests at Tracer.Retained). Dangling exemplars —
@@ -288,7 +266,6 @@ func LintExpositionOptions(r io.Reader, opts LintOptions) error {
 		closed:  map[string]bool{},
 		seen:    map[string]bool{},
 		hists:   map[string]*histCheck{},
-		om:      opts.OpenMetrics,
 		resolve: opts.ResolveTrace,
 	}
 	sc := bufio.NewScanner(r)
@@ -325,7 +302,6 @@ type promLinter struct {
 	seen    map[string]bool // name+labels duplicates
 	hists   map[string]*histCheck
 	cur     string // family currently being emitted
-	om      bool
 	resolve func(string) bool
 	sawEOF  bool
 }
@@ -339,8 +315,8 @@ var (
 )
 
 // family strips histogram/summary sample suffixes to the declaring
-// family name when that family was TYPE-declared, and — in the
-// OpenMetrics dialect — the `_total` suffix of counter samples.
+// family name when that family was TYPE-declared, and the `_total`
+// suffix of counter samples.
 func (l *promLinter) family(name string) string {
 	for _, suf := range []string{"_bucket", "_sum", "_count"} {
 		if base, ok := strings.CutSuffix(name, suf); ok {
@@ -380,10 +356,8 @@ func (l *promLinter) line(s string) error {
 	}
 	if strings.HasPrefix(s, "#") {
 		if s == "# EOF" {
-			if l.om {
-				l.sawEOF = true
-			}
-			return nil // free-form comment in 0.0.4, terminator in OpenMetrics
+			l.sawEOF = true
+			return nil
 		}
 		if m := promHelpRe.FindStringSubmatch(s); m != nil {
 			if l.helped[m[1]] {
@@ -481,9 +455,6 @@ func (l *promLinter) splitExemplar(s string) (string, *lintExemplar, error) {
 	if idx < 0 {
 		return s, nil, nil
 	}
-	if !l.om {
-		return s, nil, fmt.Errorf("exemplar syntax in a 0.0.4 exposition: %q", s[idx+1:])
-	}
 	tail := s[idx+3:]
 	m := promExemplarRe.FindStringSubmatch(tail)
 	if m == nil {
@@ -580,7 +551,7 @@ func (l *promLinter) finish() error {
 			return fmt.Errorf("histogram series %q _count %v != +Inf bucket %v", s, hc.count, hc.infCount)
 		}
 	}
-	if l.om && !l.sawEOF {
+	if !l.sawEOF {
 		return fmt.Errorf("OpenMetrics exposition does not end with # EOF")
 	}
 	return nil

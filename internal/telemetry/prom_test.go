@@ -14,7 +14,7 @@ func TestPromWriterPassesOwnLint(t *testing.T) {
 		h.Observe(v)
 	}
 	var sb strings.Builder
-	p := telemetry.NewPromWriter(&sb)
+	p := telemetry.NewOpenMetricsWriter(&sb)
 	p.Counter("heliosd_requests_total", "Requests admitted.", 42)
 	p.CounterVec("heliosd_requests_rejected_total", "Rejected requests by reason.", []telemetry.LabeledValue{
 		{Labels: []telemetry.Label{{Name: "reason", Value: "overload"}}, Value: 7},
@@ -22,6 +22,7 @@ func TestPromWriterPassesOwnLint(t *testing.T) {
 	})
 	p.Gauge("heliosd_inflight", "In-flight requests.", 3)
 	p.Histogram("heliosd_request_duration_microseconds", "Request latency.", h)
+	p.Close()
 	if err := p.Err(); err != nil {
 		t.Fatalf("PromWriter error: %v", err)
 	}
@@ -30,7 +31,8 @@ func TestPromWriterPassesOwnLint(t *testing.T) {
 		t.Fatalf("own output fails lint: %v\n%s", err, out)
 	}
 	for _, want := range []string{
-		"# TYPE heliosd_requests_total counter",
+		"# TYPE heliosd_requests counter",
+		"heliosd_requests_total 42",
 		`heliosd_requests_rejected_total{reason="overload"} 7`,
 		"# TYPE heliosd_request_duration_microseconds histogram",
 		`heliosd_request_duration_microseconds_bucket{le="+Inf"} 6`,
@@ -39,6 +41,9 @@ func TestPromWriterPassesOwnLint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
+	}
+	if !strings.HasSuffix(out, "# EOF\n") {
+		t.Fatalf("exposition does not end with # EOF:\n%s", out)
 	}
 	// The 2^30 sample clamps into the last finite bucket, so the final
 	// finite bucket already equals the total count.
@@ -49,7 +54,7 @@ func TestPromWriterPassesOwnLint(t *testing.T) {
 
 func TestPromWriterRefusesSplitFamily(t *testing.T) {
 	var sb strings.Builder
-	p := telemetry.NewPromWriter(&sb)
+	p := telemetry.NewOpenMetricsWriter(&sb)
 	p.Counter("a_total", "a", 1)
 	p.Counter("b_total", "b", 2)
 	p.Counter("a_total", "a again", 3)
@@ -64,24 +69,24 @@ func TestLintExposition(t *testing.T) {
 		in   string
 		want string // substring of the error, "" for pass
 	}{
-		{"minimal counter", "# HELP a_total x\n# TYPE a_total counter\na_total 1\n", ""},
-		{"untyped sample", "a_total 1\n", "TYPE"},
-		{"bad name", "# TYPE 9bad counter\n9bad 1\n", "malformed"},
-		{"bad value", "# TYPE a counter\na pickle\n", "non-numeric"},
-		{"duplicate sample", "# TYPE a counter\na 1\na 2\n", "duplicate"},
-		{"split family", "# TYPE a counter\na 1\n# TYPE b counter\nb 1\n# HELP a again\n", "grouped"},
-		{"double TYPE", "# TYPE a counter\n# TYPE a counter\na 1\n", "second TYPE"},
+		{"minimal counter", "# HELP a x\n# TYPE a counter\na_total 1\n# EOF\n", ""},
+		{"untyped sample", "a_total 1\n# EOF\n", "TYPE"},
+		{"bad name", "# TYPE 9bad counter\n9bad_total 1\n# EOF\n", "malformed"},
+		{"bad value", "# TYPE a counter\na_total pickle\n# EOF\n", "non-numeric"},
+		{"duplicate sample", "# TYPE a counter\na_total 1\na_total 2\n# EOF\n", "duplicate"},
+		{"split family", "# TYPE a counter\na_total 1\n# TYPE b counter\nb_total 1\n# HELP a again\n# EOF\n", "grouped"},
+		{"double TYPE", "# TYPE a counter\n# TYPE a counter\na_total 1\n# EOF\n", "second TYPE"},
 		{
 			"histogram ok",
 			"# TYPE h histogram\n" +
 				`h_bucket{le="1"} 1` + "\n" +
 				`h_bucket{le="+Inf"} 2` + "\n" +
-				"h_sum 3\nh_count 2\n",
+				"h_sum 3\nh_count 2\n# EOF\n",
 			"",
 		},
 		{
 			"histogram no inf",
-			"# TYPE h histogram\n" + `h_bucket{le="1"} 1` + "\nh_sum 1\nh_count 1\n",
+			"# TYPE h histogram\n" + `h_bucket{le="1"} 1` + "\nh_sum 1\nh_count 1\n# EOF\n",
 			"+Inf",
 		},
 		{
@@ -89,7 +94,7 @@ func TestLintExposition(t *testing.T) {
 			"# TYPE h histogram\n" +
 				`h_bucket{le="5"} 1` + "\n" +
 				`h_bucket{le="2"} 2` + "\n" +
-				`h_bucket{le="+Inf"} 2` + "\nh_sum 1\nh_count 2\n",
+				`h_bucket{le="+Inf"} 2` + "\nh_sum 1\nh_count 2\n# EOF\n",
 			"out of order",
 		},
 		{
@@ -97,17 +102,35 @@ func TestLintExposition(t *testing.T) {
 			"# TYPE h histogram\n" +
 				`h_bucket{le="1"} 5` + "\n" +
 				`h_bucket{le="2"} 3` + "\n" +
-				`h_bucket{le="+Inf"} 5` + "\nh_sum 1\nh_count 5\n",
+				`h_bucket{le="+Inf"} 5` + "\nh_sum 1\nh_count 5\n# EOF\n",
 			"cumulative",
 		},
 		{
 			"histogram count mismatch",
 			"# TYPE h histogram\n" +
-				`h_bucket{le="+Inf"} 2` + "\nh_sum 1\nh_count 3\n",
+				`h_bucket{le="+Inf"} 2` + "\nh_sum 1\nh_count 3\n# EOF\n",
 			"_count",
 		},
 		{"empty", "", "empty"},
-		{"free comment ok", "# just a comment\n# TYPE a counter\na 1\n", ""},
+		{"free comment ok", "# just a comment\n# TYPE a counter\na_total 1\n# EOF\n", ""},
+		{"missing EOF", "# TYPE a counter\na_total 1\n", "# EOF"},
+		{"content after EOF", "# TYPE a counter\na_total 1\n# EOF\n# TYPE b counter\n", "after # EOF"},
+		{
+			"exemplar on a bucket",
+			"# TYPE h histogram\n" +
+				`h_bucket{le="1"} 1 # {trace_id="7"} 1 1.5` + "\n" +
+				`h_bucket{le="+Inf"} 1` + "\nh_sum 1\nh_count 1\n# EOF\n",
+			"",
+		},
+		{
+			"exemplar outside its bucket",
+			"# TYPE h histogram\n" +
+				`h_bucket{le="1"} 1 # {trace_id="7"} 5` + "\n" +
+				`h_bucket{le="+Inf"} 1` + "\nh_sum 1\nh_count 1\n# EOF\n",
+			"outside bucket",
+		},
+		{"exemplar without trace_id", "# TYPE a counter\na_total 1 # {span=\"x\"} 1\n# EOF\n", "trace_id"},
+		{"exemplar on a gauge", "# TYPE g gauge\ng 1 # {trace_id=\"7\"} 1\n# EOF\n", "only _bucket and _total"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
