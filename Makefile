@@ -35,6 +35,7 @@ soak:
 # Matches the CI fuzz job budgets.
 fuzz-short:
 	$(GO) test -fuzz=FuzzReadFrom -fuzztime=30s ./internal/trace
+	$(GO) test -fuzz=FuzzReplayAccepted -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzPipelineModesAgree -fuzztime=30s ./internal/ooo
 	$(GO) test -fuzz=FuzzObsEncoding -fuzztime=30s ./internal/obs
 	$(GO) test -fuzz=FuzzTAGEMatchesReference -fuzztime=30s ./internal/branch

@@ -260,11 +260,7 @@ const pipelineBudget = 100_000
 
 func benchPipeline(b *testing.B, mode fusion.Mode) {
 	w, _ := workloads.ByName("xz")
-	src, err := w.Trace(pipelineBudget)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rec, err := trace.Record(src)
+	rec, err := w.Record(pipelineBudget)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -272,7 +268,7 @@ func benchPipeline(b *testing.B, mode fusion.Mode) {
 	b.ResetTimer()
 	var cycles, insts uint64
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunSource(context.Background(), w.Name, ooo.DefaultConfig(mode), rec.Replay(), pipelineBudget)
+		r, err := core.Replay(context.Background(), rec, ooo.DefaultConfig(mode), pipelineBudget)
 		if err != nil {
 			b.Fatal(err)
 		}

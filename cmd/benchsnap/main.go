@@ -13,7 +13,9 @@
 //
 // The snapshot schema is documented in EXPERIMENTS.md ("Benchmark
 // trajectory"). With -count > 1 the best (minimum ns/op) run per
-// benchmark is kept, the usual way to suppress scheduler noise.
+// benchmark is kept, the usual way to suppress scheduler noise. The
+// packages in fixedBenchtime run at their own iteration count whatever
+// -benchtime says; each row's iterations field records what ran.
 package main
 
 import (
@@ -79,18 +81,33 @@ func main() {
 		os.Exit(2)
 	}
 
-	args := []string{"test", "-run", "^$", "-bench", *benchRe, "-benchmem",
-		"-benchtime", *benchtime, "-count", strconv.Itoa(*count)}
-	args = append(args, strings.Fields(*pkgSpec)...)
-	cmd := exec.Command("go", args...)
+	// One go test run per benchtime, in the order the packages came.
+	var times []string
+	pkgs := make(map[string][]string)
+	for _, pkg := range strings.Fields(*pkgSpec) {
+		bt, ok := fixedBenchtime[pkg]
+		if !ok {
+			bt = *benchtime
+		}
+		if pkgs[bt] == nil {
+			times = append(times, bt)
+		}
+		pkgs[bt] = append(pkgs[bt], pkg)
+	}
 	var buf bytes.Buffer
-	cmd.Stdout = &buf
-	cmd.Stderr = os.Stderr
-	fmt.Fprintf(os.Stderr, "benchsnap: go %s\n", strings.Join(args, " "))
-	if err := cmd.Run(); err != nil {
-		os.Stderr.Write(buf.Bytes())
-		fmt.Fprintf(os.Stderr, "benchsnap: go test failed: %v\n", err)
-		os.Exit(1)
+	for _, bt := range times {
+		args := []string{"test", "-run", "^$", "-bench", *benchRe, "-benchmem",
+			"-benchtime", bt, "-count", strconv.Itoa(*count)}
+		args = append(args, pkgs[bt]...)
+		cmd := exec.Command("go", args...)
+		cmd.Stdout = &buf
+		cmd.Stderr = os.Stderr
+		fmt.Fprintf(os.Stderr, "benchsnap: go %s\n", strings.Join(args, " "))
+		if err := cmd.Run(); err != nil {
+			os.Stderr.Write(buf.Bytes())
+			fmt.Fprintf(os.Stderr, "benchsnap: go test failed: %v\n", err)
+			os.Exit(1)
+		}
 	}
 
 	snap := &Snapshot{
@@ -140,6 +157,13 @@ func main() {
 // wall time is perfbench's fig10-cold workload, which has goldens and
 // noise bounds.
 const defaultBenchRe = "^(BenchmarkPipelineObsOff|BenchmarkPipelineObsOn|BenchmarkPipelineNoFusion|BenchmarkPipelineHelios|BenchmarkPipelineOracle|BenchmarkTAGE|BenchmarkOracle|BenchmarkServeRun)$"
+
+// fixedBenchtime pins the iteration count of packages whose per-run
+// set-up swamps their allocs/op at a few iterations. At 3 iterations,
+// five runs of unchanged code read 136–150 allocs/op for
+// BenchmarkServeRun/hit, against 132–134 at 100; the serve set takes
+// about 5 s at 100 on a 2-vCPU VM.
+var fixedBenchtime = map[string]string{"./internal/serve": "100x"}
 
 // parseInto scans `go test -bench` output. Benchmark result lines look
 // like:

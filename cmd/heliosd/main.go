@@ -99,7 +99,7 @@ func main() {
 		cfg.Sampler = sampling.NewChain(
 			sampling.Errors(),
 			sampling.SlowTail(*sampleSlowPct, 64),
-			sampling.SpanBoost(sampling.PrioSpan, "record", "degrade"),
+			sampling.SpanBoost(sampling.PrioSpan, "record"),
 			sampling.Limit(sampling.All(), *sampleRate, *sampleBurst),
 			sampling.Floor(*sampleFloor, *sampleSeed),
 		)

@@ -101,7 +101,9 @@ func main() {
 
 	// Phase one: obtain the committed stream — load it from a trace file,
 	// or record it once from the emulator when it will be reused (compare
-	// mode or -trace-out).
+	// mode or -trace-out). A single live run records inside
+	// core.RunConfig, so every path holds one 64-byte record per budgeted
+	// instruction while it replays.
 	var (
 		rec  *trace.Recording
 		name string
@@ -202,7 +204,7 @@ func main() {
 		err error
 	)
 	if rec != nil {
-		r, err = core.RunSource(ctx, name, cfg, rec.Replay(), 0)
+		r, err = core.Replay(ctx, rec, cfg, 0)
 	} else {
 		r, err = core.RunConfig(ctx, w, cfg, *insts)
 	}
@@ -302,7 +304,7 @@ func runCompare(ctx context.Context, name string, rec *trace.Recording, workers 
 					return
 				}
 				m := fusion.Modes[i]
-				results[i], errs[i] = core.RunSource(ctx, name, ooo.DefaultConfig(m), rec.Replay(), 0)
+				results[i], errs[i] = core.Replay(ctx, rec, ooo.DefaultConfig(m), 0)
 			}
 		}()
 	}

@@ -115,7 +115,7 @@ func main() {
 		"csf", "ncsf", "idioms", "accuracy")
 	var base float64
 	for _, mode := range fusion.Modes {
-		p := ooo.New(ooo.DefaultConfig(mode), rec.Replay())
+		p := ooo.New(ooo.DefaultConfig(mode), rec)
 		st, err := p.Run()
 		if err != nil {
 			log.Fatal(err)

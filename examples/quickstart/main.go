@@ -93,7 +93,7 @@ func main() {
 		log.Fatal(err)
 	}
 	run := func(mode fusion.Mode) *ooo.Stats {
-		p := ooo.New(ooo.DefaultConfig(mode), rec.Replay())
+		p := ooo.New(ooo.DefaultConfig(mode), rec)
 		st, err := p.Run()
 		if err != nil {
 			log.Fatal(err)

@@ -14,12 +14,12 @@ import (
 // Report aggregates the outcome of a fault-injection campaign. The
 // contract under test: Runs == Clean + TypedErrors and Violations is
 // empty — every injection ended in a clean, correctly-accounted result
-// or a structured *ooo.SimError; nothing panicked, hung, or silently
-// produced a wrong answer.
+// or a typed error; nothing panicked, hung, or silently produced a wrong
+// answer.
 type Report struct {
 	Runs        int
 	Clean       int // runs that ended without error, with correct accounting
-	TypedErrors int // runs that died with a typed *ooo.SimError
+	TypedErrors int // runs that ended in the typed error their fault calls for
 	Violations  []string
 }
 
@@ -44,26 +44,46 @@ func (r *Report) String() string {
 // checkInterval is how often campaign pipeline runs sweep invariants.
 const checkInterval = 256
 
-// StreamCampaign replays the recording `runs` times, each through a
-// fresh random stream fault and a fusion mode cycled from the paper's
-// six, and classifies every outcome against the failure contract:
+// StreamCampaign records the recording's stream `runs` times, each
+// through a fresh random stream fault, replays what was recorded under a
+// fusion mode cycled from the paper's six, and classifies every outcome
+// against the failure contract:
 //
-//   - a clean exit must account for exactly the records delivered;
-//   - an error exit must be a *ooo.SimError of any kind except panic
-//     (the validation layer, not the recovery layer, must catch stream
-//     faults);
-//   - latched injected errors must stay visible through errors.Is.
+//   - a corrupt or reordered record must be refused by trace.Record
+//     with an error wrapping trace.ErrCorrupt (the recording boundary,
+//     not the pipeline, must catch it);
+//   - an injected stream error (FaultError, FaultTruncate) must be
+//     refused by trace.Record with ErrInjected visible through errors.Is;
+//   - a recording that was made must replay to a clean exit committing
+//     exactly the records delivered, or to a *ooo.SimError of any kind
+//     except panic.
 func StreamCampaign(rec *trace.Recording, runs int, seed int64) Report {
 	rng := rand.New(rand.NewSource(seed))
 	var rep Report
 	for i := 0; i < runs; i++ {
 		f := RandomStreamFault(rng, uint64(rec.Len()))
 		mode := fusion.Modes[i%len(fusion.Modes)]
-		inj := Inject(rec.Replay(), f)
-		p := ooo.New(ooo.DefaultConfig(mode), inj)
-		st, err := p.RunChecked(checkInterval)
+		inj := Inject(rec, f)
+		got, rerr := trace.Record(inj)
 		rep.Runs++
 
+		var want error // the sentinel Record must refuse the stream with
+		switch {
+		case f.Kind == FaultError || f.Kind == FaultTruncate:
+			want = ErrInjected
+		case inj.Fired():
+			want = trace.ErrCorrupt
+		}
+		if rerr != nil || want != nil {
+			if !errors.Is(rerr, want) {
+				rep.violation("%v at %d: Record returned %v, want an error wrapping %v", f.Kind, f.At, rerr, want)
+				continue
+			}
+			rep.TypedErrors++
+			continue
+		}
+
+		st, err := ooo.New(ooo.DefaultConfig(mode), got).RunChecked(checkInterval)
 		var se *ooo.SimError
 		switch {
 		case err == nil:
@@ -76,10 +96,6 @@ func StreamCampaign(rec *trace.Recording, runs int, seed int64) Report {
 		case errors.As(err, &se):
 			if se.Kind == ooo.FailPanic {
 				rep.violation("%v/%v at %d: fault reached panic recovery: %v", f.Kind, mode, f.At, err)
-				continue
-			}
-			if (f.Kind == FaultError || f.Kind == FaultTruncate) && !errors.Is(err, ErrInjected) {
-				rep.violation("%v/%v at %d: injected sentinel lost: %v", f.Kind, mode, f.At, err)
 				continue
 			}
 			rep.TypedErrors++
@@ -159,7 +175,7 @@ func PipelineCampaign(rec *trace.Recording, storms, randomCfgs int, seed int64) 
 
 	runOne := func(label string, cfg ooo.Config) {
 		rep.Runs++
-		p := ooo.New(cfg, rec.Replay())
+		p := ooo.New(cfg, rec)
 		st, err := p.RunChecked(checkInterval)
 		if err != nil {
 			var se *ooo.SimError

@@ -1,10 +1,10 @@
 // Package chaos is the fault-injection harness for the simulation stack.
-// It wraps the three trust boundaries — the committed-path stream
-// (trace.Source), the on-disk trace file format, and the pipeline itself
-// — with deterministic, seeded fault injectors, and provides campaign
-// drivers that assert the stack's failure contract: every injected fault
-// ends in a clean result or a typed *ooo.SimError; never a panic, a
-// hang, or a silently wrong result.
+// It attacks the committed-path stream on its way into a recording, the
+// on-disk trace file format, and the pipeline itself with deterministic,
+// seeded fault injectors, and provides campaign drivers that assert the
+// stack's failure contract: every injected fault ends in a clean result
+// or a typed error (trace.ErrCorrupt, the injected sentinel, or a
+// *ooo.SimError); never a panic, a hang, or a silently wrong result.
 //
 // The injectors are deliberately hostile but reproducible: every fault
 // is described by a small struct with an explicit seed, so a campaign
@@ -84,26 +84,40 @@ func RandomStreamFault(rng *rand.Rand, maxAt uint64) StreamFault {
 	}
 }
 
-// Injected is a trace.Source that applies one StreamFault to an inner
-// source. Delivered reports how many records were actually handed out,
-// which is the ground truth a clean consumer must account for.
+// Injected is a trace.Source that streams a recording with one
+// StreamFault applied. Delivered reports how many records were actually
+// handed out, which is the ground truth a clean consumer must account
+// for.
 type Injected struct {
-	src       trace.Source
-	f         StreamFault
-	n         uint64 // records delivered so far
-	err       error
-	done      bool
-	swapped   *emu.Retired // buffered second record of a reorder swap
-	corrupted bool
+	rec     *trace.Recording
+	pos     int // next record of rec to read
+	f       StreamFault
+	n       uint64 // records delivered so far
+	err     error
+	done    bool
+	swapped *emu.Retired // buffered second record of a reorder swap
+	fired   bool         // a record was corrupted or reordered
 }
 
-// Inject wraps src with the given fault.
-func Inject(src trace.Source, f StreamFault) *Injected {
-	return &Injected{src: src, f: f}
+// Inject streams rec with the given fault.
+func Inject(rec *trace.Recording, f StreamFault) *Injected {
+	return &Injected{rec: rec, f: f}
 }
 
 // Delivered returns the number of records handed to the consumer.
 func (s *Injected) Delivered() uint64 { return s.n }
+
+// Fired reports whether a corrupt or reordered record was handed out.
+func (s *Injected) Fired() bool { return s.fired }
+
+// next reads the next record of the underlying recording.
+func (s *Injected) next() (emu.Retired, bool) {
+	if s.pos >= s.rec.Len() {
+		return emu.Retired{}, false
+	}
+	s.pos++
+	return s.rec.At(s.pos - 1), true
+}
 
 // Next implements trace.Source.
 func (s *Injected) Next() (emu.Retired, bool) {
@@ -127,23 +141,24 @@ func (s *Injected) Next() (emu.Retired, bool) {
 			return r, true
 		}
 		if s.n == s.f.At {
-			first, ok1 := s.src.Next()
+			first, ok1 := s.next()
 			if !ok1 {
 				s.done = true
 				return emu.Retired{}, false
 			}
-			second, ok2 := s.src.Next()
+			second, ok2 := s.next()
 			if !ok2 {
 				// Nothing to swap with: deliver the record unharmed.
 				s.n++
 				return first, true
 			}
 			s.swapped = &first
+			s.fired = true
 			s.n++
 			return second, true
 		}
 	}
-	r, ok := s.src.Next()
+	r, ok := s.next()
 	if !ok {
 		s.done = true
 		if s.f.Kind == FaultError {
@@ -153,19 +168,14 @@ func (s *Injected) Next() (emu.Retired, bool) {
 	}
 	if s.f.Kind == FaultCorruptRecord && s.n == s.f.At {
 		corruptRecord(&r, s.f.Seed)
-		s.corrupted = true
+		s.fired = true
 	}
 	s.n++
 	return r, true
 }
 
 // Err implements trace.Source: injected faults latch like real ones.
-func (s *Injected) Err() error {
-	if s.err != nil {
-		return s.err
-	}
-	return s.src.Err()
-}
+func (s *Injected) Err() error { return s.err }
 
 // corruptRecord mutates one field into an impossible value, variant
 // chosen by seed.

@@ -1,7 +1,10 @@
 package chaos
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"regexp"
 	"testing"
 
 	"helios/internal/asm"
@@ -95,18 +98,21 @@ func TestFaultInjectionContract(t *testing.T) {
 }
 
 // TestInjectorSilentTruncation pins the hardest stream case: the source
-// just stops early with no error, and the pipeline must exit cleanly
-// having committed exactly what it was given.
+// just stops early with no error, so the recording is a clean prefix and
+// its replay must commit exactly what was delivered.
 func TestInjectorSilentTruncation(t *testing.T) {
 	rec := buildRecording(t)
-	inj := Inject(rec.Replay(), StreamFault{Kind: FaultSilentTruncate, At: 500})
-	p := ooo.New(ooo.DefaultConfig(0), inj)
-	st, err := p.RunChecked(64)
+	inj := Inject(rec, StreamFault{Kind: FaultSilentTruncate, At: 500})
+	got, err := trace.Record(inj)
 	if err != nil {
-		t.Fatalf("silent truncation must end cleanly, got %v", err)
+		t.Fatalf("silent truncation must record cleanly, got %v", err)
 	}
-	if inj.Delivered() != 500 {
-		t.Fatalf("delivered %d records, want 500", inj.Delivered())
+	if inj.Delivered() != 500 || got.Len() != 500 {
+		t.Fatalf("delivered %d records, recorded %d, want 500", inj.Delivered(), got.Len())
+	}
+	st, err := ooo.New(ooo.DefaultConfig(0), got).RunChecked(64)
+	if err != nil {
+		t.Fatalf("replay of the truncated recording: %v", err)
 	}
 	if st.CommittedInsts != 500 {
 		t.Errorf("committed %d instructions of 500 delivered", st.CommittedInsts)
@@ -114,30 +120,96 @@ func TestInjectorSilentTruncation(t *testing.T) {
 }
 
 // TestInjectorSentinelVisible checks an injected stream error stays
-// identifiable through the pipeline's error wrapping.
+// identifiable through Record, which makes no recording of the stream.
 func TestInjectorSentinelVisible(t *testing.T) {
 	rec := buildRecording(t)
-	inj := Inject(rec.Replay(), StreamFault{Kind: FaultTruncate, At: 300})
-	p := ooo.New(ooo.DefaultConfig(0), inj)
-	_, err := p.RunChecked(64)
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v, want the ErrInjected sentinel", err)
-	}
-	var se *ooo.SimError
-	if !errors.As(err, &se) || se.Kind != ooo.FailStream {
-		t.Fatalf("err = %v, want a %s SimError", err, ooo.FailStream)
+	for _, kind := range []FaultKind{FaultError, FaultTruncate} {
+		got, err := trace.Record(Inject(rec, StreamFault{Kind: kind, At: 300}))
+		if !errors.Is(err, ErrInjected) {
+			t.Fatalf("%v: err = %v, want the ErrInjected sentinel", kind, err)
+		}
+		if got != nil {
+			t.Errorf("%v: Record made a %d-record recording of a faulting stream", kind, got.Len())
+		}
 	}
 }
 
 // TestInjectorReorderCaught checks a program-order violation from the
-// source is rejected as a corrupt stream, not simulated.
+// source is refused where the recording is built, naming the record
+// found out of place.
 func TestInjectorReorderCaught(t *testing.T) {
 	rec := buildRecording(t)
-	inj := Inject(rec.Replay(), StreamFault{Kind: FaultReorder, At: 100})
-	p := ooo.New(ooo.DefaultConfig(0), inj)
-	_, err := p.RunChecked(64)
-	var se *ooo.SimError
-	if !errors.As(err, &se) || se.Kind != ooo.FailCorrupt {
-		t.Fatalf("err = %v, want a %s SimError", err, ooo.FailCorrupt)
+	_, err := trace.Record(Inject(rec, StreamFault{Kind: FaultReorder, At: 100}))
+	if !errors.Is(err, trace.ErrCorrupt) {
+		t.Fatalf("err = %v, want an error wrapping trace.ErrCorrupt", err)
 	}
+	if !namesSeq(err, 101) {
+		t.Errorf("err = %v, want it to name seq 101", err)
+	}
+}
+
+// TestCorruptRecordsRejected feeds each corruptRecord variant and a
+// reorder to all three Recording constructors — Record over a live
+// stream, FromRecords, and ReadFrom over a written trace file — and
+// checks each refuses it with an error wrapping trace.ErrCorrupt that
+// names the bad record's seq.
+func TestCorruptRecordsRejected(t *testing.T) {
+	rec := buildRecording(t)
+	const at = 40
+	cases := []struct {
+		name string
+		f    StreamFault
+	}{
+		{"seq-jump", StreamFault{Kind: FaultCorruptRecord, At: at, Seed: 0}},
+		{"bad-opcode", StreamFault{Kind: FaultCorruptRecord, At: at, Seed: 1}},
+		{"bad-rd", StreamFault{Kind: FaultCorruptRecord, At: at, Seed: 2}},
+		{"bad-memsize", StreamFault{Kind: FaultCorruptRecord, At: at, Seed: 3}},
+		{"reorder", StreamFault{Kind: FaultReorder, At: at}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// The faulty stream, materialized: record `at` is the bad one.
+			var recs []emu.Retired
+			inj := Inject(rec, tc.f)
+			for r, ok := inj.Next(); ok; r, ok = inj.Next() {
+				recs = append(recs, r)
+			}
+			bad := recs[at].Seq
+			check := func(how string, got *trace.Recording, err error) {
+				t.Helper()
+				if !errors.Is(err, trace.ErrCorrupt) || got != nil {
+					t.Fatalf("%s = (%v, %v), want no recording and an error wrapping trace.ErrCorrupt", how, got, err)
+				}
+				if !namesSeq(err, bad) {
+					t.Errorf("%s: %v does not name seq %d", how, err, bad)
+				}
+			}
+
+			got, err := trace.Record(Inject(rec, tc.f))
+			check("Record", got, err)
+
+			got, err = trace.FromRecords(rec.Name, rec.MaxInsts, append([]emu.Retired(nil), recs...))
+			check("FromRecords", got, err)
+
+			// A valid recording cannot hold the bad record, so the file
+			// is written from a copy whose shared slice is overwritten
+			// after it was built — exactly what a hostile file holds.
+			file, err := trace.FromRecords(rec.Name, rec.MaxInsts, append([]emu.Retired(nil), rec.Records()...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(file.Records(), recs)
+			var buf bytes.Buffer
+			if _, err := file.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			got, err = trace.ReadFrom(&buf)
+			check("ReadFrom", got, err)
+		})
+	}
+}
+
+// namesSeq reports whether err's message names the record "seq n".
+func namesSeq(err error, n uint64) bool {
+	return regexp.MustCompile(fmt.Sprintf(`\bseq %d\b`, n)).MatchString(err.Error())
 }

@@ -22,7 +22,7 @@ func observedStats(t *testing.T, sink *bytes.Buffer, every uint64) *ooo.Stats {
 	rec := buildRecording(t)
 	cfg := ooo.DefaultConfig(fusion.ModeHelios)
 	cfg.Obs = &obs.Observer{Metrics: sink, SampleEvery: every}
-	p := ooo.New(cfg, rec.Replay())
+	p := ooo.New(cfg, rec)
 	st, err := p.Run()
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"helios/internal/trace"
 )
 
 // ServiceVerdict classifies one request outcome against the service
@@ -145,20 +143,4 @@ func watchdogCall(ctx context.Context, timeout time.Duration, client, seq int,
 	case <-time.After(timeout):
 		return ServiceViolation, fmt.Sprintf("hung request (no response in %v)", timeout)
 	}
-}
-
-// CorruptRecording returns a copy of rec with one record mutated into
-// an impossible value (the FaultCorruptRecord variants: bad opcode,
-// register, access size, or a sequence jump). The copy records cleanly
-// but fails the pipeline's stream validation on replay — the poisoned
-// cache entry used to exercise a service's graceful-degradation path.
-func CorruptRecording(rec *trace.Recording, at uint64, seed int64) (*trace.Recording, error) {
-	f := StreamFault{Kind: FaultCorruptRecord, At: at, Seed: seed}
-	bad, err := trace.Record(Inject(rec.Replay(), f))
-	if err != nil {
-		return nil, fmt.Errorf("chaos: re-record with corruption: %w", err)
-	}
-	bad.Name = rec.Name
-	bad.MaxInsts = rec.MaxInsts
-	return bad, nil
 }

@@ -2,14 +2,9 @@ package chaos
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
 	"time"
-
-	"helios/internal/fusion"
-	"helios/internal/ooo"
-	"helios/internal/workloads"
 )
 
 // TestServiceCampaignClassification drives the campaign with a `do`
@@ -53,35 +48,5 @@ func TestServiceCampaignClassification(t *testing.T) {
 	}
 	if panics != 4 || hangs != 4 {
 		t.Errorf("panic/hang violations = %d/%d, want 4/4", panics, hangs)
-	}
-}
-
-// TestCorruptRecordingFailsReplay pins the helper's contract: the
-// corrupted copy has the same identity as the original, and the
-// pipeline rejects it with a typed corrupt-stream error.
-func TestCorruptRecordingFailsReplay(t *testing.T) {
-	w, ok := workloads.ByName("crc32")
-	if !ok {
-		t.Fatal("crc32 workload missing")
-	}
-	rec, err := w.Record(5_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := CorruptRecording(rec, uint64(rec.Len()/2), 12345)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad.Name != rec.Name || bad.MaxInsts != rec.MaxInsts {
-		t.Errorf("identity not preserved: %s@%d vs %s@%d", bad.Name, bad.MaxInsts, rec.Name, rec.MaxInsts)
-	}
-	p := ooo.New(ooo.DefaultConfig(fusion.ModeNoFusion), bad.Replay())
-	_, err = p.RunChecked(256)
-	if err == nil {
-		t.Fatal("corrupted recording replayed cleanly")
-	}
-	var se *ooo.SimError
-	if !errors.As(err, &se) || se.Kind != ooo.FailCorrupt {
-		t.Fatalf("err = %v, want a %s SimError", err, ooo.FailCorrupt)
 	}
 }

@@ -8,13 +8,14 @@
 // configuration. Suite performs the record-once/replay-many bookkeeping
 // and deduplicates concurrent requests for the same key.
 //
+// Every run records first and then replays, single runs included. A
+// recording is validated once, where it is built, so every replay of it
+// is deterministic: a replay that fails would fail again on a fresh
+// recording, and its error reaches the caller as is.
+//
 // Every entry point takes a context.Context: cancellation and deadlines
 // are honored mid-run (checked inside the pipeline's cycle loop and the
-// recording emulation), and a context failure is never cached. When a
-// cached recording fails to replay (e.g. a corrupt trace file was seeded
-// via SeedRecording), Suite degrades gracefully: it re-emulates the
-// workload live exactly once, replaces the recording, and retries — so
-// one bad trace costs one extra emulation, not the whole suite run.
+// recording emulation), and a context failure is never cached.
 //
 // Typical use:
 //
@@ -100,32 +101,31 @@ func Run(ctx context.Context, w workloads.Workload, mode fusion.Mode, maxInsts u
 	return RunConfig(ctx, w, cfg, maxInsts)
 }
 
-// RunConfig simulates with an explicit machine configuration, emulating
-// the workload live (single-run callers do not pay for a recording).
+// RunConfig simulates with an explicit machine configuration: it records
+// the workload's committed stream once and replays it.
 func RunConfig(ctx context.Context, w workloads.Workload, cfg ooo.Config, maxInsts uint64) (*Result, error) {
 	if maxInsts == 0 {
 		maxInsts = w.MaxInsts
 	}
-	src, err := w.Trace(maxInsts)
+	rec, err := record(ctx, w, maxInsts)
 	if err != nil {
 		return nil, err
 	}
-	return RunSource(ctx, w.Name, cfg, src, maxInsts)
+	return Replay(ctx, rec, cfg, maxInsts)
 }
 
-// RunSource simulates an explicit committed-path source — typically a
-// trace.Recording replay cursor or a loaded trace file — under cfg.
-// maxInsts bounds committed instructions (0 = drain the source). The
-// context is polled inside the cycle loop; on cancellation the returned
-// error unwraps to ctx.Err().
-func RunSource(ctx context.Context, name string, cfg ooo.Config, src trace.Source, maxInsts uint64) (*Result, error) {
+// Replay simulates a recording — the Suite's, or one loaded from a trace
+// file — under cfg; the Result is named after rec.Name. maxInsts bounds
+// committed instructions (0 = the whole recording). The context is
+// polled inside the cycle loop; on cancellation the returned error
+// unwraps to ctx.Err().
+func Replay(ctx context.Context, rec *trace.Recording, cfg ooo.Config, maxInsts uint64) (*Result, error) {
 	cfg.MaxUops = maxInsts
-	p := ooo.New(cfg, src)
-	st, err := p.RunContext(ctx)
+	st, err := ooo.New(cfg, rec).RunContext(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s/%v: %w", name, cfg.Mode, err)
+		return nil, fmt.Errorf("core: %s/%v: %w", rec.Name, cfg.Mode, err)
 	}
-	return &Result{Workload: name, Mode: cfg.Mode, Stats: *st}, nil
+	return &Result{Workload: rec.Name, Mode: cfg.Mode, Stats: *st}, nil
 }
 
 // Metrics is a snapshot of the suite's record/replay observability
@@ -134,14 +134,9 @@ func RunSource(ctx context.Context, name string, cfg ooo.Config, src trace.Sourc
 type Metrics struct {
 	TraceMisses  uint64 // recordings materialized (functional emulations)
 	TraceHits    uint64 // runs served from an already-cached recording
-	Replays      uint64 // replay cursors handed to the pipeline
+	Replays      uint64 // recordings replayed through the pipeline
 	PipelineRuns uint64 // cycle-level simulations performed
 	DedupedRuns  uint64 // Get calls that waited on an identical in-flight run
-
-	// LiveFallbacks counts recordings re-emulated live because a cached
-	// recording failed to replay (graceful degradation; at most one per
-	// workload×budget key).
-	LiveFallbacks uint64
 
 	EmuTime time.Duration // wall time in functional emulation (recording)
 	SimTime time.Duration // wall time in cycle-level simulation
@@ -163,7 +158,6 @@ func (m Metrics) Rows() [][2]string {
 		{"replays", fmt.Sprint(m.Replays)},
 		{"pipeline runs", fmt.Sprint(m.PipelineRuns)},
 		{"deduped runs", fmt.Sprint(m.DedupedRuns)},
-		{"live fallbacks", fmt.Sprint(m.LiveFallbacks)},
 	}
 }
 
@@ -207,7 +201,7 @@ type Suite struct {
 	MaxInsts uint64 // per-run instruction budget (0 = workload default)
 
 	results flight.Memo[suiteKey, *Result]
-	traces  flight.Memo[traceKey, traceEntry]
+	traces  flight.Memo[traceKey, *trace.Recording]
 
 	mu      sync.Mutex
 	metrics Metrics
@@ -228,13 +222,6 @@ type suiteKey struct {
 type traceKey struct {
 	workload string
 	maxInsts uint64
-}
-
-type traceEntry struct {
-	rec *trace.Recording
-	// repaired marks a recording produced by the live-fallback path: if
-	// it still fails to replay, the failure is real and must surface.
-	repaired bool
 }
 
 // NewSuite creates a result cache with the given per-run budget.
@@ -286,15 +273,6 @@ func (s *Suite) resolve(name string, budget uint64) (workloads.Workload, uint64,
 		budget = w.MaxInsts
 	}
 	return w, budget, nil
-}
-
-// SeedRecording pre-populates the trace cache with an externally
-// produced recording (e.g. loaded from a trace file), keyed by its Name
-// and MaxInsts. Replays will use it instead of emulating — and if it
-// turns out to be corrupt, the live-fallback path replaces it. A key
-// that is already recorded, or being recorded, keeps its recording.
-func (s *Suite) SeedRecording(rec *trace.Recording) {
-	s.traces.Add(traceKey{rec.Name, rec.MaxInsts}, traceEntry{rec: rec})
 }
 
 // SeedResult pre-populates the result cache with a result computed
@@ -363,8 +341,7 @@ func (s *Suite) Result(ctx context.Context, name string, cfg ooo.Config, budget 
 }
 
 // run performs one uncached simulation: fetch (or make) the workload's
-// recording, replay it through the pipeline on cfg, and on a replay
-// failure degrade to one live re-emulation.
+// recording and replay it through the pipeline on cfg.
 func (s *Suite) run(ctx context.Context, w workloads.Workload, cfg ooo.Config, budget uint64) (*Result, error) {
 	tr, lane := telemetry.FromContext(ctx), laneFrom(ctx)
 	sp := tr.StartLane("record", lane)
@@ -376,17 +353,16 @@ func (s *Suite) run(ctx context.Context, w workloads.Workload, cfg ooo.Config, b
 	}
 	sp = tr.StartLane("replay", lane)
 	sp.SetBool("custom", cfg != ooo.DefaultConfig(cfg.Mode))
-	r, err := s.replayDegrade(ctx, w, cfg, rec, budget)
+	r, err := s.replay(ctx, cfg, rec, budget)
 	sp.SetBool("err", err != nil)
 	sp.End()
 	return r, err
 }
 
 // ReplayConfig replays the workload's shared recording under an explicit
-// machine configuration, with the same graceful degradation as Result: a
-// recording that fails to replay is re-emulated live exactly once. Unlike
-// Result it never reads or fills the result cache — each call is a fresh
-// replay — but the record-once trace and its repair path are shared.
+// machine configuration. Unlike Result it never reads or fills the
+// result cache — each call is a fresh replay — but the record-once trace
+// is shared.
 func (s *Suite) ReplayConfig(ctx context.Context, name string, cfg ooo.Config, budget uint64) (*Result, error) {
 	w, budget, err := s.resolve(name, budget)
 	if err != nil {
@@ -395,44 +371,11 @@ func (s *Suite) ReplayConfig(ctx context.Context, name string, cfg ooo.Config, b
 	return s.run(ctx, w, cfg, budget)
 }
 
-// replayDegrade is the replay half of one simulation: run the recording
-// through the pipeline, and if the replay fails for a non-context reason
-// (corrupt trace file, truncated stream, ...) degrade gracefully —
-// re-emulate the workload live, once per trace key, and retry against
-// the fresh recording.
-func (s *Suite) replayDegrade(ctx context.Context, w workloads.Workload, cfg ooo.Config, rec *trace.Recording, budget uint64) (*Result, error) {
-	r, runErr := s.replay(ctx, w.Name, cfg, rec, budget)
-	if runErr == nil || flight.IsCtxErr(runErr) {
-		return r, runErr
-	}
-	// The degrade span marks the rare repair path in the request's trace
-	// — rare enough that heliosd's tail sampler boosts traces carrying it
-	// (sampling.SpanBoost), so /tracez keeps evidence of degradations
-	// even under heavy healthy traffic.
-	sp := telemetry.FromContext(ctx).StartLane("degrade", laneFrom(ctx))
-	sp.SetAttr("workload", w.Name)
-	fresh, ferr := s.repairRecording(ctx, w, budget, rec)
-	if ferr != nil {
-		sp.SetBool("err", true)
-		sp.End()
-		return nil, fmt.Errorf("core: %s: replay failed (%w) and live fallback failed: %w", w.Name, runErr, ferr)
-	}
-	if fresh == rec {
-		// Already the repaired recording: the failure is real.
-		sp.SetBool("err", true)
-		sp.End()
-		return r, runErr
-	}
-	sp.SetBool("err", false)
-	sp.End()
-	return s.replay(ctx, w.Name, cfg, fresh, budget)
-}
-
 // replay runs one cycle-level simulation over a recording, with timing
 // accounted to the suite metrics.
-func (s *Suite) replay(ctx context.Context, name string, cfg ooo.Config, rec *trace.Recording, budget uint64) (*Result, error) {
+func (s *Suite) replay(ctx context.Context, cfg ooo.Config, rec *trace.Recording, budget uint64) (*Result, error) {
 	start := time.Now() //helios:nondeterminism-ok wall-time metrics only; simulated results never read it
-	r, err := RunSource(ctx, name, cfg, rec.Replay(), budget)
+	r, err := Replay(ctx, rec, cfg, budget)
 	s.mu.Lock()
 	s.metrics.Replays++
 	s.metrics.PipelineRuns++
@@ -468,7 +411,7 @@ func (s *Suite) ObserveReplayConfig(ctx context.Context, name string, cfg ooo.Co
 		return nil, err
 	}
 	cfg.Obs = ob
-	r, err := s.replay(ctx, name, cfg, rec, budget)
+	r, err := s.replay(ctx, cfg, rec, budget)
 	if err != nil {
 		return r, err
 	}
@@ -502,9 +445,8 @@ func (s *Suite) RecordingBudget(ctx context.Context, name string, budget uint64)
 // first caller emulates and everyone else waits for or reuses the buffer.
 // A context failure during emulation is returned but not cached.
 func (s *Suite) recording(ctx context.Context, w workloads.Workload, budget uint64) (*trace.Recording, error) {
-	e, how, err := s.traces.Do(ctx, traceKey{w.Name, budget}, func() (traceEntry, error) {
-		rec, err := s.emulate(ctx, w, budget)
-		return traceEntry{rec: rec}, err
+	rec, how, err := s.traces.Do(ctx, traceKey{w.Name, budget}, func() (*trace.Recording, error) {
+		return s.emulate(ctx, w, budget)
 	})
 	s.mu.Lock()
 	if how&flight.Hit != 0 {
@@ -514,7 +456,7 @@ func (s *Suite) recording(ctx context.Context, w workloads.Workload, budget uint
 		s.metrics.TraceMisses++
 	}
 	s.mu.Unlock()
-	return e.rec, err
+	return rec, err
 }
 
 // emulate records the workload's committed stream under ctx, with its
@@ -526,6 +468,12 @@ func (s *Suite) emulate(ctx context.Context, w workloads.Workload, budget uint64
 		s.metrics.EmuTime += time.Since(start)
 		s.mu.Unlock()
 	}()
+	return record(ctx, w, budget)
+}
+
+// record emulates the workload's committed stream for budget
+// instructions under ctx and records it.
+func record(ctx context.Context, w workloads.Workload, budget uint64) (*trace.Recording, error) {
 	src, err := w.Trace(budget)
 	if err != nil {
 		return nil, err
@@ -537,29 +485,6 @@ func (s *Suite) emulate(ctx context.Context, w workloads.Workload, budget uint64
 	rec.Name = w.Name
 	rec.MaxInsts = budget
 	return rec, nil
-}
-
-// repairRecording implements the degradation path: replace a recording
-// that failed to replay with one fresh live emulation. At most one
-// repair happens per trace key — if the repaired recording also fails,
-// callers surface the failure. bad is the recording the caller just
-// watched fail, so a concurrent repair is detected and reused.
-func (s *Suite) repairRecording(ctx context.Context, w workloads.Workload, budget uint64, bad *trace.Recording) (*trace.Recording, error) {
-	// Only the unrepaired bad recording is stale: anything else stored
-	// is someone's finished repair (or the repaired recording the caller
-	// just replayed) and comes back as-is. A repair cut short by its
-	// context leaves the bad entry for a later call to retry.
-	stale := func(e traceEntry) bool { return e.rec == bad && !e.repaired }
-	e, how, err := s.traces.Redo(ctx, traceKey{w.Name, budget}, stale, func() (traceEntry, error) {
-		rec, err := s.emulate(ctx, w, budget)
-		return traceEntry{rec: rec, repaired: true}, err
-	})
-	if how&flight.Run != 0 && !flight.IsCtxErr(err) {
-		s.mu.Lock()
-		s.metrics.LiveFallbacks++
-		s.mu.Unlock()
-	}
-	return e.rec, err
 }
 
 // Prefetch runs every workload under each mode in parallel, filling the

@@ -157,26 +157,3 @@ func TestEngineVersionShape(t *testing.T) {
 		t.Error("EngineVersion is not stable within a process")
 	}
 }
-
-// TestReplayConfigDegradesCorruptRecording: the custom-config replay
-// path (heliosd's non-default-machine requests) must share the
-// graceful-degradation contract with Get — a corrupt cached recording
-// costs one live re-emulation, not an error.
-func TestReplayConfigDegradesCorruptRecording(t *testing.T) {
-	const budget = 20_000
-	s := NewSuite(budget)
-	s.SeedRecording(corruptRecording("crc32", budget))
-
-	cfg := ooo.DefaultConfig(fusion.ModeHelios)
-	cfg.ROBSize = 64 // a non-default machine
-	r, err := s.ReplayConfig(context.Background(), "crc32", cfg, budget)
-	if err != nil {
-		t.Fatalf("ReplayConfig did not degrade a corrupt recording: %v", err)
-	}
-	if r.Stats.CommittedInsts == 0 {
-		t.Fatal("empty result after repair")
-	}
-	if got := s.Metrics().LiveFallbacks; got != 1 {
-		t.Errorf("LiveFallbacks = %d, want exactly 1", got)
-	}
-}

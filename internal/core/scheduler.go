@@ -130,7 +130,7 @@ func (s *Suite) PrefetchN(ctx context.Context, names []string, modes []fusion.Mo
 }
 
 // laneKey carries the trace lane of the RunCells worker running a cell,
-// so spans the cell opens deeper down (degrade) land on that worker's
+// so spans the cell opens deeper down (record, replay) land on that worker's
 // lane, nested in its cell span, rather than on lane 0, where
 // concurrent cells would overlap.
 type laneKey struct{}

@@ -168,7 +168,7 @@ func (h *Harness) analyzeTrace(ctx context.Context, name string, cfg fusion.Pair
 	if err != nil {
 		return fusion.TraceStats{}, err
 	}
-	return fusion.AnalyzeTrace(rec.Replay(), cfg)
+	return fusion.AnalyzeTrace(rec, cfg), nil
 }
 
 // Figure4 classifies consecutive memory pairs by address relationship:

@@ -53,20 +53,12 @@ type entry[V any] struct {
 
 // Do returns the result stored for key, waits for the run already in
 // flight for it (or for ctx to end), or runs fn itself.
-func (m *Memo[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (V, Outcome, error) {
-	return m.Redo(ctx, key, nil, fn)
-}
-
-// Redo is Do for a key whose stored value may have gone bad: a stored
-// value for which stale reports true counts as missing, so one caller
-// runs fn again and its result replaces it. The stale value stays
-// stored until then, and Do keeps returning it. A nil stale is Do.
-func (m *Memo[K, V]) Redo(ctx context.Context, key K, stale func(V) bool, fn func() (V, error)) (v V, how Outcome, err error) {
+func (m *Memo[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (v V, how Outcome, err error) {
 	m.mu.Lock()
 	var e entry[V]
 	for {
 		e = m.entries[key]
-		if e.stored && (stale == nil || !stale(e.val)) {
+		if e.stored {
 			m.mu.Unlock()
 			return e.val, how | Hit, e.err
 		}
@@ -89,7 +81,7 @@ func (m *Memo[K, V]) Redo(ctx context.Context, key K, stale func(V) bool, fn fun
 	if m.entries == nil {
 		m.entries = make(map[K]entry[V])
 	}
-	e.inflight = true // e keeps a stale stored value until fn replaces it
+	e.inflight = true
 	m.entries[key] = e
 	m.mu.Unlock()
 

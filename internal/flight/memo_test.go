@@ -185,26 +185,15 @@ func TestWaiterLeadsAfterLeaderContextDies(t *testing.T) {
 	}
 }
 
-// TestRedoReplacesStaleValue: Redo reruns fn once for a stale value,
-// stores the result in its place, and serves a fresh value as a hit;
-// Do keeps returning the stale value until the redo lands.
-func TestRedoReplacesStaleValue(t *testing.T) {
+// TestAddStoresOnce: Add stores a value once and refuses a stored key,
+// and Do serves the added value as a hit without running fn.
+func TestAddStoresOnce(t *testing.T) {
 	var m Memo[string, int]
 	if !m.Add("k", 1) || m.Add("k", 2) {
 		t.Fatal("Add must store once and refuse a stored key")
 	}
-	stale := func(v int) bool { return v == 1 }
-	if v, how, _ := m.Redo(context.Background(), "k", stale, func() (int, error) { return 0, context.Canceled }); v != 0 || how != Run {
-		t.Fatalf("cancelled redo = (%d, %b), want (0, Run)", v, how)
-	}
 	if v, how, _ := m.Do(context.Background(), "k", nil); v != 1 || how != Hit {
-		t.Fatalf("after a cancelled redo Do = (%d, %b), want the stale (1, Hit)", v, how)
-	}
-	if v, how, _ := m.Redo(context.Background(), "k", stale, func() (int, error) { return 3, nil }); v != 3 || how != Run {
-		t.Fatalf("redo = (%d, %b), want (3, Run)", v, how)
-	}
-	if v, how, _ := m.Redo(context.Background(), "k", stale, nil); v != 3 || how != Hit {
-		t.Errorf("second redo = (%d, %b), want the fresh (3, Hit)", v, how)
+		t.Fatalf("Do = (%d, %b), want the added (1, Hit)", v, how)
 	}
 	if keys := m.Keys(); len(keys) != 1 || keys[0] != "k" {
 		t.Errorf("Keys = %v, want [k]", keys)

@@ -83,21 +83,16 @@ func (s *TraceStats) MeanDistance() float64 {
 	return float64(s.DistanceSum) / float64(s.PairsTotal())
 }
 
-// AnalyzeTrace scans a committed stream and computes fusion potential.
-// The source yields records in program order; if it ends on an emulation
-// fault, the error is returned alongside the stats gathered so far.
-func AnalyzeTrace(src trace.Source, cfg PairConfig) (TraceStats, error) {
+// AnalyzeTrace scans a recorded committed stream, in program order, and
+// computes its fusion potential.
+func AnalyzeTrace(rec *trace.Recording, cfg PairConfig) TraceStats {
 	var st TraceStats
 	oracle := NewOracle(cfg)
 
 	var pending emu.Retired // previous µ-op not yet consumed by a pair
 	havePending := false
 
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
+	for _, r := range rec.Records() {
 		st.TotalUops++
 		if r.MemSize != 0 {
 			st.MemUops++
@@ -154,7 +149,7 @@ func AnalyzeTrace(src trace.Source, cfg PairConfig) (TraceStats, error) {
 			}
 		}
 	}
-	return st, src.Err()
+	return st
 }
 
 // spanFor extracts the head..tail slice from the recent window.

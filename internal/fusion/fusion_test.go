@@ -413,10 +413,11 @@ func TestAnalyzeTrace(t *testing.T) {
 	// the first pair too.
 	recs[0].Inst.Imm = 0
 	recs[1].Inst.Imm = 8
-	st, err := AnalyzeTrace(trace.FromRecords("synthetic", 0, recs).Replay(), DefaultPairConfig())
+	rec, err := trace.FromRecords("synthetic", 0, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := AnalyzeTrace(rec, DefaultPairConfig())
 
 	if st.TotalUops != 7 || st.MemUops != 5 {
 		t.Errorf("totals = %d/%d", st.TotalUops, st.MemUops)

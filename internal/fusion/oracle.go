@@ -51,9 +51,8 @@ func (p Pairing) Consecutive() bool { return p.Distance == 1 }
 //
 // Between Resets, Observe requires records in strictly increasing Seq
 // order, so a record is never already paired when it arrives. Both users
-// guarantee it: the pipeline rejects an out-of-sequence source
-// (ooo.validateRecord) and re-primes after a Reset from an increasing
-// range of it, and AnalyzeTrace reads the emulator's stream.
+// read a trace.Recording, whose record i has Seq i by construction, and
+// the pipeline re-primes after a Reset from an increasing range of it.
 type Oracle struct {
 	cfg PairConfig
 

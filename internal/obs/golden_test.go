@@ -77,7 +77,7 @@ func runObserved(t testing.TB, rec *trace.Recording, ob *obs.Observer) uint64 {
 	// Seeded chaos flushes give the trace deterministic squash records.
 	cfg.ChaosFlushInterval = 60
 	cfg.ChaosSeed = 7
-	st, err := ooo.New(cfg, rec.Replay()).Run()
+	st, err := ooo.New(cfg, rec).Run()
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

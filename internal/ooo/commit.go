@@ -34,7 +34,6 @@ func (p *Pipeline) commitStage() {
 		p.commitWrites(u)
 		p.accountCommit(u)
 		p.trainHelios(u)
-		p.pruneWindow(u.seq)
 		if !u.isStore() {
 			// Commit is a non-store µ-op's last pipeline reference (any
 			// stale waiter or event-wheel entry is generation-checked);
@@ -73,7 +72,7 @@ func (p *Pipeline) commitWrites(u *pUop) {
 		}
 		arch := u.dstArch[i]
 		seqW := int64(u.seq)
-		if i > 0 && u.tailR != nil {
+		if i >= int(u.ownDsts) && u.tailR != nil {
 			seqW = int64(u.tailR.Seq)
 		}
 		if seqW > p.lastWriter[arch] {

@@ -103,7 +103,7 @@ func (p *Pipeline) flushFrom(from uint64) {
 				continue
 			}
 			seqW := int64(u.seq)
-			if d > 0 && u.tailR != nil {
+			if d >= int(u.ownDsts) && u.tailR != nil {
 				seqW = int64(u.tailR.Seq)
 			}
 			writes = append(writes, write{seq: seqW, arch: u.dstArch[d], preg: u.dstPhys[d]})
@@ -142,18 +142,16 @@ func (p *Pipeline) flushFrom(from uint64) {
 	if p.oracle != nil {
 		p.oracle.Reset()
 		p.plannedPairs.clear()
-		start := p.windowBase
-		if from > uint64(p.cfg.PairCfg.MaxDist+1) && from-uint64(p.cfg.PairCfg.MaxDist+1) > start {
+		start := uint64(0)
+		if from > uint64(p.cfg.PairCfg.MaxDist+1) {
 			start = from - uint64(p.cfg.PairCfg.MaxDist+1)
 		}
-		for s := start; s < from; s++ {
-			if r := p.record(s); r != nil {
-				if pairing, ok := p.oracle.Observe(*r); ok {
-					// Pairs wholly before the flush point were already
-					// applied (or dropped); only future tails matter.
-					if pairing.TailSeq >= from {
-						p.plannedPairs.put(pairing)
-					}
+		for _, r := range p.recs[start:from] {
+			if pairing, ok := p.oracle.Observe(r); ok {
+				// Pairs wholly before the flush point were already
+				// applied (or dropped); only future tails matter.
+				if pairing.TailSeq >= from {
+					p.plannedPairs.put(pairing)
 				}
 			}
 		}
@@ -198,7 +196,7 @@ func (p *Pipeline) unfuseInPlace(u *pUop) {
 	}
 	p.removePendingNCSF(u)
 	// Release the tail's physical destination if the head allocated one.
-	if u.numDst > 1 {
+	if u.numDst > u.ownDsts {
 		slot := int(u.numDst) - 1
 		if preg := u.dstPhys[slot]; preg >= 0 {
 			p.freePhys(preg)

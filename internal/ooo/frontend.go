@@ -49,10 +49,11 @@ func (p *Pipeline) frontendStage() {
 			}
 			break
 		}
-		rec := p.fetchRecord(p.nextFetch)
-		if rec == nil {
-			break // stream exhausted
+		if p.nextFetch >= uint64(len(p.recs)) {
+			p.fetchDone = true
+			break // recording exhausted
 		}
+		rec := &p.recs[p.nextFetch]
 		// Instruction cache: one access per new line touched.
 		line := rec.PC / p.cfg.Cache.LineSize
 		if line != p.lastFetchLine {
@@ -68,7 +69,7 @@ func (p *Pipeline) frontendStage() {
 		}
 
 		u := p.arena.alloc()
-		u.r, u.seq, u.ghr, u.st = *rec, rec.Seq, p.ghr.Bits(), stDecoded
+		u.r, u.seq, u.ghr, u.st = rec, rec.Seq, p.ghr.Bits(), stDecoded
 		u.decodedAt = p.cycle
 		u.tdBucket = -1 // no dispatch slot claimed yet
 		p.nextFetch++
@@ -141,8 +142,8 @@ func (p *Pipeline) frontendStage() {
 
 	for i, u := range group {
 		if u.st == stKilled {
-			// Absorbed into a fused µ-op at decode: its record was copied
-			// into the head's tail storage and nothing else refers to it.
+			// Absorbed into a fused µ-op at decode: the head points at its
+			// record and nothing else refers to it.
 			p.arena.release(u)
 			group[i] = nil
 			continue
@@ -203,8 +204,7 @@ func (p *Pipeline) tryFusePair(a, b *pUop) bool {
 // the pipeline (consecutive fusion: the tail nucleus vanishes at decode).
 func (p *Pipeline) absorbTail(a, b *pUop, kind uop.FuseKind) {
 	a.kind = kind
-	a.tailStorage = b.r
-	a.tailR = &a.tailStorage
+	a.tailR = b.r
 	a.validated = true
 	b.st = stKilled
 }
@@ -235,7 +235,7 @@ func (p *Pipeline) markOraclePairs(group []*pUop) {
 		// The oracle consumes every µ-op exactly once, in decode order
 		// (tail nucleii killed by idiom fusion still feed it).
 		if u.seq == p.oracleFed {
-			if pairing, ok := p.oracle.Observe(u.r); ok {
+			if pairing, ok := p.oracle.Observe(*u.r); ok {
 				p.plannedPairs.put(pairing)
 			}
 			p.oracleFed++
@@ -309,13 +309,12 @@ func (p *Pipeline) headEligible(head, tail *pUop) bool {
 // The head becomes the NCSF'd µ-op; the tail nucleus stays in the AQ and
 // flows to Rename to validate it.
 func (p *Pipeline) establishNCSF(head, tail *pUop, pred helios.Prediction, usedPred bool) {
-	head.tailStorage = tail.r
-	rec := head.tailStorage
+	rec := tail.r
 	head.kind = uop.FuseLoadPair
 	if head.r.IsStore() {
 		head.kind = uop.FuseStorePair
 	}
-	head.tailR = &head.tailStorage
+	head.tailR = rec
 	head.isNCSF = true
 	head.validated = false
 	head.pred = pred

@@ -68,7 +68,7 @@ func TestICacheMisses(t *testing.T) {
 	}
 	// The backward jump spans ~40 KiB: beyond B-type range, so use jal.
 	src += "\taddi s1, s1, -1\n\tbeqz s1, done\n\tj loop\ndone:\n\tli a7, 93\n\tli a0, 0\n\tecall\n"
-	p := New(DefaultConfig(fusion.ModeNoFusion), streamFor(t, src, 80_000))
+	p := New(DefaultConfig(fusion.ModeNoFusion), recordingFor(t, src, 80_000))
 	st, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -115,29 +115,6 @@ loop:
 	base := runMode(t, src, fusion.ModeNoFusion, 100_000)
 	if st.CommittedInsts != base.CommittedInsts {
 		t.Errorf("oracle committed %d, baseline %d", st.CommittedInsts, base.CommittedInsts)
-	}
-}
-
-// Long-running simulation exercises window pruning (the fetched-record
-// buffer must not grow with the run length).
-func TestWindowPruning(t *testing.T) {
-	src := `
-	_start:
-		li s1, 100000
-	loop:
-		addi s2, s2, 3
-		addi s1, s1, -1
-		bnez s1, loop
-		li a7, 93
-		li a0, 0
-		ecall
-	`
-	p := New(DefaultConfig(fusion.ModeNoFusion), streamFor(t, src, 300_000))
-	if _, err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.window) > 20_000 {
-		t.Errorf("record window grew to %d entries; pruning broken", len(p.window))
 	}
 }
 

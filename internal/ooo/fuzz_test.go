@@ -9,6 +9,7 @@ import (
 	"helios/internal/asm"
 	"helios/internal/emu"
 	"helios/internal/fusion"
+	"helios/internal/isa"
 	"helios/internal/trace"
 )
 
@@ -119,7 +120,7 @@ func TestFuzzAllModesAgree(t *testing.T) {
 			}
 
 			for _, mode := range fusion.Modes {
-				p := New(DefaultConfig(mode), trace.NewLive(emu.New(prog), 0))
+				p := New(DefaultConfig(mode), recordMachine(t, emu.New(prog), 0))
 				st, err := p.RunChecked(64)
 				if err != nil {
 					t.Fatalf("mode %v: %v", mode, err)
@@ -159,7 +160,7 @@ func FuzzPipelineModesAgree(f *testing.F) {
 			t.Fatal("generated program did not halt")
 		}
 		for _, mode := range fusion.Modes {
-			p := New(DefaultConfig(mode), trace.NewLive(emu.New(prog), 0))
+			p := New(DefaultConfig(mode), recordMachine(t, emu.New(prog), 0))
 			st, err := p.RunChecked(256)
 			if err != nil {
 				t.Fatalf("mode %v: %v", mode, err)
@@ -200,13 +201,68 @@ func TestFuzzSmallMachines(t *testing.T) {
 		} {
 			cfg := DefaultConfig(mode)
 			shrink.mut(&cfg)
-			p := New(cfg, trace.NewLive(emu.New(prog), 0))
+			p := New(cfg, recordMachine(t, emu.New(prog), 0))
 			st, err := p.RunChecked(16)
 			if err != nil {
 				t.Fatalf("%v/%s: %v", mode, shrink.name, err)
 			}
 			if st.CommittedInsts != want {
 				t.Errorf("%v/%s committed %d, want %d", mode, shrink.name, st.CommittedInsts, want)
+			}
+		}
+	}
+}
+
+// TestRandomRecordingsReplay is the pipeline's half of the recording
+// trust boundary: a recording that passes trace validation may still be
+// one no program would produce — random opcodes and registers, a PC that
+// holds different instructions in turn, addresses unrelated to register
+// values — and every one must replay under all six fusion modes with
+// invariants intact, committing every record. It found the fused-pair
+// deadlock on a catalyst store addressed through the head's result and
+// the lost tail destination of a head that writes x0.
+func TestRandomRecordingsReplay(t *testing.T) {
+	seeds := 150
+	if testing.Short() {
+		seeds = 30
+	}
+	pcs := []uint64{0x1000, 0x1004, 0x1008, 0x100c, 0x1010, 0x2000}
+	for seed := 0; seed < seeds; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		recs := make([]emu.Retired, 50+r.Intn(400))
+		for i := range recs {
+			op := isa.Opcode(r.Intn(isa.NumOpcodes))
+			pc := pcs[r.Intn(len(pcs))]
+			next := pc + 4
+			if op.IsControlFlow() && r.Intn(2) == 0 {
+				next = pcs[r.Intn(len(pcs))]
+			}
+			ea := uint64(r.Intn(512)) * 4
+			if r.Intn(10) == 0 {
+				ea = r.Uint64()
+			}
+			recs[i] = emu.Retired{
+				Seq: uint64(i), PC: pc, NextPC: next,
+				Inst: isa.Inst{Op: op, Rd: isa.Reg(r.Intn(isa.NumRegs)), Rs1: isa.Reg(r.Intn(isa.NumRegs)),
+					Rs2: isa.Reg(r.Intn(isa.NumRegs)), Imm: int64(r.Intn(64))},
+				EA: ea, MemSize: uint8(r.Intn(9)), Taken: r.Intn(2) == 0,
+			}
+		}
+		rec, err := trace.FromRecords("random", 0, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range fusion.Modes {
+			p := New(DefaultConfig(mode), rec)
+			st, err := p.RunChecked(16)
+			if err == nil {
+				err = p.CheckInvariants()
+			}
+			if err != nil {
+				t.Fatalf("seed %d, %v: %v", seed, mode, err)
+			}
+			if st.CommittedInsts != uint64(len(recs)) {
+				t.Fatalf("seed %d, %v: committed %d of %d", seed, mode, st.CommittedInsts, len(recs))
 			}
 		}
 	}

@@ -15,27 +15,34 @@ import (
 	"helios/internal/uop"
 )
 
-// emptyPipeline builds a pipeline over an empty stream, ready to have its
-// internal state corrupted by the white-box invariant tests.
+// emptyPipeline builds a pipeline over an empty recording, ready to have
+// its internal state corrupted by the white-box invariant tests.
 func emptyPipeline() *Pipeline {
-	done := trace.Func(func() (emu.Retired, bool) { return emu.Retired{}, false })
-	return New(DefaultConfig(fusion.ModeNoFusion), done)
+	return New(DefaultConfig(fusion.ModeNoFusion), &trace.Recording{})
 }
 
-// endlessADDI is an infinite well-formed synthetic stream: only a context
-// or an injected fault can end a run over it.
-func endlessADDI() trace.Source {
-	var seq uint64
-	return trace.Func(func() (emu.Retired, bool) {
-		r := emu.Retired{
-			Seq:    seq,
-			PC:     0x1000,
-			NextPC: 0x1000,
-			Inst:   isa.Inst{Op: isa.OpADDI, Rd: 5, Rs1: 5, Imm: 1},
+// longRecording is a well-formed synthetic recording of dependent loads,
+// each to its own line 1 MiB past the last, so every one misses to DRAM:
+// tens of millions of cycles, so only a context or a fault ends a run
+// over it early.
+func longRecording(t testing.TB) *trace.Recording {
+	t.Helper()
+	recs := make([]emu.Retired, 100_000)
+	for i := range recs {
+		recs[i] = emu.Retired{
+			Seq:     uint64(i),
+			PC:      0x1000,
+			NextPC:  0x1000,
+			Inst:    isa.Inst{Op: isa.OpLD, Rd: 5, Rs1: 5},
+			EA:      uint64(i) << 20,
+			MemSize: 8,
 		}
-		seq++
-		return r, true
-	})
+	}
+	rec, err := trace.FromRecords("long", 0, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 // TestCheckInvariantsCatchesCorruption plants each class of internal
@@ -115,7 +122,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 // lets the periodic in-run sweep find it: the run must die with a
 // FailInvariant SimError, not continue on broken state.
 func TestRunCheckedSurfacesInvariantViolation(t *testing.T) {
-	p := New(DefaultConfig(fusion.ModeNoFusion), endlessADDI())
+	p := New(DefaultConfig(fusion.ModeNoFusion), longRecording(t))
 	p.freeList = append(p.freeList, p.freeList[0])
 	_, err := p.RunChecked(1)
 	var se *SimError
@@ -134,7 +141,7 @@ func TestWatchdogFiresOnLivelock(t *testing.T) {
 	cfg := DefaultConfig(fusion.ModeNoFusion)
 	cfg.ChaosFlushInterval = 1 // flush storm every cycle: no forward progress
 	cfg.ChaosSeed = 7
-	p := New(cfg, endlessADDI())
+	p := New(cfg, longRecording(t))
 	_, err := p.Run()
 	var se *SimError
 	if !errors.As(err, &se) || se.Kind != FailWatchdog {
@@ -149,7 +156,7 @@ func TestWatchdogFiresOnLivelock(t *testing.T) {
 // checks the contract: Run returns a FailPanic SimError with the panic
 // value and stack attached — it never lets the panic escape.
 func TestPanicRecoveredAsSimError(t *testing.T) {
-	p := New(DefaultConfig(fusion.ModeNoFusion), endlessADDI())
+	p := New(DefaultConfig(fusion.ModeNoFusion), longRecording(t))
 	p.waiters = nil // rename will index this and panic
 	_, err := p.Run()
 	var se *SimError
@@ -161,70 +168,13 @@ func TestPanicRecoveredAsSimError(t *testing.T) {
 	}
 }
 
-// TestCorruptStreamDetected feeds hostile records and checks the stream
-// trust boundary: validation must latch a FailCorrupt SimError instead of
-// letting bad fields index the pipeline's tables.
-func TestCorruptStreamDetected(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(r *emu.Retired, i uint64)
-		want string
-	}{
-		{"seq-jump", func(r *emu.Retired, i uint64) {
-			if i == 40 {
-				r.Seq += 1000
-			}
-		}, "out of sequence"},
-		{"bad-rd", func(r *emu.Retired, i uint64) {
-			if i == 40 {
-				r.Inst.Rd = 77
-			}
-		}, "register out of range"},
-		{"bad-opcode", func(r *emu.Retired, i uint64) {
-			if i == 40 {
-				r.Inst.Op = isa.Opcode(isa.NumOpcodes + 3)
-			}
-		}, "opcode"},
-		{"bad-memsize", func(r *emu.Retired, i uint64) {
-			if i == 40 {
-				r.MemSize = 33
-			}
-		}, "access size"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var seq uint64
-			src := trace.Func(func() (emu.Retired, bool) {
-				r := emu.Retired{
-					Seq:    seq,
-					PC:     0x1000,
-					NextPC: 0x1000,
-					Inst:   isa.Inst{Op: isa.OpADDI, Rd: 5, Rs1: 5, Imm: 1},
-				}
-				tc.mut(&r, seq)
-				seq++
-				return r, true
-			})
-			p := New(DefaultConfig(fusion.ModeHelios), src)
-			_, err := p.Run()
-			var se *SimError
-			if !errors.As(err, &se) || se.Kind != FailCorrupt {
-				t.Fatalf("err = %v, want a %s SimError", err, FailCorrupt)
-			}
-			if !strings.Contains(se.Cause, tc.want) {
-				t.Errorf("cause %q does not mention %q", se.Cause, tc.want)
-			}
-		})
-	}
-}
-
-// TestRunContextDeadline runs over an endless stream with a deadline: the
+// TestRunContextDeadline runs over a long recording with a deadline: the
 // cycle loop must stop within one check interval and the error must
 // unwrap to context.DeadlineExceeded.
 func TestRunContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	p := New(DefaultConfig(fusion.ModeNoFusion), endlessADDI())
+	p := New(DefaultConfig(fusion.ModeNoFusion), longRecording(t))
 	_, err := p.RunContext(ctx)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -238,7 +188,7 @@ func TestRunContextDeadline(t *testing.T) {
 // TestSimErrorJSON checks the crash dump is valid JSON carrying the
 // machine state a bug report needs.
 func TestSimErrorJSON(t *testing.T) {
-	p := New(DefaultConfig(fusion.ModeHelios), endlessADDI())
+	p := New(DefaultConfig(fusion.ModeHelios), longRecording(t))
 	p.waiters = nil
 	_, err := p.Run()
 	var se *SimError
@@ -276,7 +226,7 @@ func TestChaosFlushStormPreservesArchitecture(t *testing.T) {
 			cfg := DefaultConfig(mode)
 			cfg.ChaosFlushInterval = interval
 			cfg.ChaosSeed = int64(interval) * 31
-			p := New(cfg, streamFor(t, prog, 0))
+			p := New(cfg, recordingFor(t, prog, 0))
 			st, err := p.RunChecked(128)
 			if err != nil {
 				t.Fatalf("%v/interval=%d: %v", mode, interval, err)

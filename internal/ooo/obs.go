@@ -28,7 +28,7 @@ func (p *Pipeline) obsEmit(u *pUop, retired bool) {
 	ev := obs.Event{
 		Seq:          u.seq,
 		PC:           u.r.PC,
-		Disasm:       p.disasm(&u.r),
+		Disasm:       p.disasm(u.r),
 		Fetch:        u.decodedAt,
 		Decode:       u.decodedAt,
 		Rename:       u.renamedAt,

@@ -37,7 +37,7 @@ func benchRun(b *testing.B, rec *trace.Recording, ob *obs.Observer) {
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig(fusion.ModeHelios)
 		cfg.Obs = ob
-		st, err := New(cfg, rec.Replay()).Run()
+		st, err := New(cfg, rec).Run()
 		if err != nil {
 			b.Fatalf("run: %v", err)
 		}
@@ -71,10 +71,8 @@ func BenchmarkPipelineObsOn(b *testing.B) {
 // hook site: with Obs nil, the per-retire accounting (counters plus the
 // three histograms plus the nil-checked event hook) allocates nothing.
 func TestCommitObsOffNoAllocs(t *testing.T) {
-	p := New(DefaultConfig(fusion.ModeNoFusion), trace.Func(func() (emu.Retired, bool) {
-		return emu.Retired{}, false
-	}))
-	u := &pUop{seq: 1, renamedAt: 5, issuedAt: 8, completeAt: 13}
+	p := emptyPipeline()
+	u := &pUop{r: &emu.Retired{Seq: 1}, seq: 1, renamedAt: 5, issuedAt: 8, completeAt: 13}
 	allocs := testing.AllocsPerRun(200, func() { p.accountCommit(u) })
 	if allocs != 0 {
 		t.Errorf("accountCommit with obs disabled allocated %.1f times per run, want 0", allocs)
@@ -85,9 +83,7 @@ func TestCommitObsOffNoAllocs(t *testing.T) {
 // that holds two different instructions in turn must render each one,
 // not the one cached first.
 func TestDisasmCacheChecksInst(t *testing.T) {
-	p := New(DefaultConfig(fusion.ModeNoFusion), trace.Func(func() (emu.Retired, bool) {
-		return emu.Retired{}, false
-	}))
+	p := emptyPipeline()
 	a := emu.Retired{PC: 0x1000, Inst: isa.Inst{Op: isa.OpADDI, Rd: 10, Rs1: 10, Imm: 1}}
 	b := emu.Retired{PC: 0x1000, Inst: isa.Inst{Op: isa.OpLD, Rd: 11, Rs1: 2, Imm: 8}}
 	for _, r := range []emu.Retired{a, b, a, a, b} {

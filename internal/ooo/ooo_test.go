@@ -1,8 +1,6 @@
 package ooo
 
 import (
-	"errors"
-	"strings"
 	"testing"
 
 	"helios/internal/asm"
@@ -11,58 +9,31 @@ import (
 	"helios/internal/trace"
 )
 
-// streamFor assembles a program and returns a live trace.Source over its
-// execution (emulation faults surface through Source.Err into Run).
-func streamFor(t *testing.T, src string, maxInsts uint64) trace.Source {
+// recordingFor assembles a program and records its committed stream
+// (maxInsts = 0: until it halts) for the pipeline to replay.
+func recordingFor(t testing.TB, src string, maxInsts uint64) *trace.Recording {
 	t.Helper()
 	prog, err := asm.Assemble(src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	return trace.NewLive(emu.New(prog), maxInsts)
+	return recordMachine(t, emu.New(prog), maxInsts)
 }
 
-// faultingSource yields records from an inner source, then reports a
-// stream error — the shape of an emulator fault mid-run.
-type faultingSource struct {
-	inner trace.Source
-	left  int
-	err   error
-}
-
-func (s *faultingSource) Next() (emu.Retired, bool) {
-	if s.left == 0 {
-		return emu.Retired{}, false
+// recordMachine records a machine's committed stream.
+func recordMachine(t testing.TB, m *emu.Machine, maxInsts uint64) *trace.Recording {
+	t.Helper()
+	rec, err := trace.Record(trace.NewLive(m, maxInsts))
+	if err != nil {
+		t.Fatalf("record: %v", err)
 	}
-	s.left--
-	return s.inner.Next()
-}
-
-func (s *faultingSource) Err() error { return s.err }
-
-// TestRunSurfacesStreamError verifies the pipeline drains and then fails
-// loudly when the committed stream ends on an emulation fault, instead of
-// silently truncating the run.
-func TestRunSurfacesStreamError(t *testing.T) {
-	src := &faultingSource{
-		inner: streamFor(t, loopSum, 1000),
-		left:  50,
-		err:   errors.New("synthetic emulation fault"),
-	}
-	p := New(DefaultConfig(fusion.ModeNoFusion), src)
-	st, err := p.Run()
-	if err == nil || !strings.Contains(err.Error(), "synthetic emulation fault") {
-		t.Fatalf("Run error = %v, want the stream fault", err)
-	}
-	if st.CommittedInsts == 0 {
-		t.Error("the drained prefix should still have committed")
-	}
+	return rec
 }
 
 // runMode simulates src under the given fusion mode.
 func runMode(t *testing.T, src string, mode fusion.Mode, maxInsts uint64) *Stats {
 	t.Helper()
-	p := New(DefaultConfig(mode), streamFor(t, src, maxInsts))
+	p := New(DefaultConfig(mode), recordingFor(t, src, maxInsts))
 	st, err := p.Run()
 	if err != nil {
 		t.Fatalf("run (%v): %v", mode, err)
@@ -311,7 +282,7 @@ func TestStoreLoadForwarding(t *testing.T) {
 func TestMaxUopsBound(t *testing.T) {
 	cfg := DefaultConfig(fusion.ModeNoFusion)
 	cfg.MaxUops = 500
-	p := New(cfg, streamFor(t, loopSum, 1_000_000))
+	p := New(cfg, recordingFor(t, loopSum, 1_000_000))
 	st, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +300,7 @@ func TestSmallMachineStillCorrect(t *testing.T) {
 	cfg.SQSize = 4
 	cfg.PhysRegs = 64
 	cfg.AQSize = 16
-	p := New(cfg, streamFor(t, pairedLoads, 50_000))
+	p := New(cfg, recordingFor(t, pairedLoads, 50_000))
 	st, err := p.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"helios/internal/emu"
 	"helios/internal/fusion"
 	"helios/internal/helios"
-	"helios/internal/isa"
 	"helios/internal/memdep"
 	"helios/internal/obs"
 	"helios/internal/trace"
@@ -21,16 +20,13 @@ type Pipeline struct {
 	cfg Config
 	mem *cache.Hierarchy
 
-	// Instruction supply: the committed-path stream in program order,
-	// either a live emulator or a recorded trace replay cursor.
-	src        trace.Source
-	streamDone bool
-	streamErr  error         // emulation fault that ended the stream
-	window     []emu.Retired // fetched records not yet committed
-	windowBase uint64        // seq of window[0]
-	nextFetch  uint64        // next seq to decode
-	srcNextSeq uint64        // expected seq of the next source record
-	srcStarted bool          // first record pulled (srcNextSeq valid)
+	// Instruction supply: the recording's committed-path stream, read in
+	// place. Record i has Seq i (trace validates that where the recording
+	// is built), so a seq indexes recs directly. fetchDone latches once
+	// fetch has asked for the seq past the last record.
+	recs      []emu.Retired
+	nextFetch uint64 // next seq to decode
+	fetchDone bool
 
 	// Frontend.
 	ghr           branch.History
@@ -123,13 +119,14 @@ type Pipeline struct {
 	st    Stats
 }
 
-// New builds a pipeline over the given committed-path source.
-func New(cfg Config, src trace.Source) *Pipeline {
+// New builds a pipeline that replays the recording's committed-path
+// stream.
+func New(cfg Config, rec *trace.Recording) *Pipeline {
 	cfg.validate()
 	p := &Pipeline{
 		cfg:          cfg,
 		mem:          cache.New(cfg.Cache),
-		src:          src,
+		recs:         rec.Records(),
 		tage:         branch.NewTAGE(cfg.TAGELogSize),
 		btb:          branch.NewBTB(cfg.BTBSets, cfg.BTBWays),
 		ras:          branch.NewRAS(cfg.RASSize),
@@ -185,9 +182,9 @@ const watchdogInterval = 100_000
 // watchdog interval, rare enough to stay off the per-cycle hot path.
 const ctxCheckInterval = 1024
 
-// Run simulates until the stream is exhausted and the pipeline drains, or
-// cfg.MaxUops architectural instructions have committed. It returns the
-// final statistics.
+// Run simulates until the recording is exhausted and the pipeline
+// drains, or cfg.MaxUops architectural instructions have committed. It
+// returns the final statistics.
 //
 //helios:ctx-ok top-of-stack convenience for examples and tests; callers needing cancellation use RunContext
 func (p *Pipeline) Run() (*Stats, error) {
@@ -202,10 +199,9 @@ func (p *Pipeline) RunContext(ctx context.Context) (*Stats, error) {
 }
 
 // run is the single simulation loop behind Run, RunContext and
-// RunChecked. Every abnormal exit — watchdog, stage panic, stream fault,
-// corrupt record, invariant violation, cancellation — is returned as a
-// *SimError with a pipeline snapshot attached; run never panics and
-// never hangs.
+// RunChecked. Every abnormal exit — watchdog, stage panic, invariant
+// violation, cancellation — is returned as a *SimError with a pipeline
+// snapshot attached; run never panics and never hangs.
 func (p *Pipeline) run(ctx context.Context, checkEvery uint64) (st *Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -221,8 +217,8 @@ func (p *Pipeline) run(ctx context.Context, checkEvery uint64) (st *Stats, err e
 		if p.cfg.MaxUops > 0 && p.st.CommittedInsts >= p.cfg.MaxUops {
 			break
 		}
-		if p.streamDone && p.rob.len() == 0 && p.aq.len() == 0 &&
-			int(p.nextFetch-p.windowBase) >= len(p.window) && len(p.sq) == 0 {
+		if p.fetchDone && p.rob.len() == 0 && p.aq.len() == 0 &&
+			p.nextFetch >= uint64(len(p.recs)) && len(p.sq) == 0 {
 			break
 		}
 		if p.cycle%ctxCheckInterval == 0 {
@@ -268,12 +264,6 @@ func (p *Pipeline) run(ctx context.Context, checkEvery uint64) (st *Stats, err e
 				fmt.Sprintf("no commit for %d cycles", watchdogInterval), nil)
 		}
 	}
-	if p.streamErr != nil {
-		if se, ok := p.streamErr.(*SimError); ok {
-			return &p.st, se
-		}
-		return &p.st, p.failure(FailStream, "committed stream ended on a fault", p.streamErr)
-	}
 	// Emit the final partial interval so short runs still produce a row.
 	if p.obs != nil && p.obs.SampleEvery > 0 && p.cycle%p.obs.SampleEvery != 0 {
 		p.obsSample()
@@ -288,100 +278,4 @@ func describeUop(u *pUop) string {
 	}
 	return fmt.Sprintf("seq=%d %v st=%d kind=%v validated=%v pendSrcs=%d",
 		u.seq, u.r.Inst, u.st, u.kind, u.validated, u.pendSrcs)
-}
-
-// record returns the dynamic record for seq, which must be inside the
-// window.
-func (p *Pipeline) record(seq uint64) *emu.Retired {
-	idx := int(seq - p.windowBase)
-	if idx < 0 || idx >= len(p.window) {
-		return nil
-	}
-	return &p.window[idx]
-}
-
-// span returns records [from, to] inclusive, or nil if out of window.
-func (p *Pipeline) span(from, to uint64) []emu.Retired {
-	lo := int(from - p.windowBase)
-	hi := int(to - p.windowBase)
-	if lo < 0 || hi >= len(p.window) || lo > hi {
-		return nil
-	}
-	return p.window[lo : hi+1]
-}
-
-// fetchRecord pulls the record for seq into the window, reading from the
-// source as needed. Returns nil when the stream is exhausted first; if it
-// ended on an emulation fault, the fault is latched for Run to surface.
-// Each record is validated on the way in: a corrupt or reordered stream
-// ends the run with a FailCorrupt SimError instead of corrupting the
-// window indexing (or panicking deeper in the pipeline).
-func (p *Pipeline) fetchRecord(seq uint64) *emu.Retired {
-	for uint64(len(p.window))+p.windowBase <= seq && !p.streamDone {
-		r, ok := p.src.Next()
-		if !ok {
-			p.streamDone = true
-			p.streamErr = p.src.Err()
-			break
-		}
-		if verr := p.validateRecord(r); verr != nil {
-			p.streamDone = true
-			p.streamErr = p.failure(FailCorrupt, "source handed a malformed record", verr)
-			break
-		}
-		if len(p.window) == 0 {
-			p.windowBase = r.Seq
-		}
-		p.window = append(p.window, r)
-	}
-	return p.record(seq)
-}
-
-// validateRecord rejects records the pipeline cannot safely simulate:
-// out-of-sequence streams (which would corrupt window indexing) and
-// field values that would index out of the machine's tables. This is the
-// trust boundary for hostile trace files and faulty sources.
-func (p *Pipeline) validateRecord(r emu.Retired) error {
-	if p.srcStarted && r.Seq != p.srcNextSeq {
-		return fmt.Errorf("record out of sequence: seq %d, want %d", r.Seq, p.srcNextSeq)
-	}
-	if int(r.Inst.Op) >= isa.NumOpcodes {
-		return fmt.Errorf("seq %d: opcode %d out of range", r.Seq, r.Inst.Op)
-	}
-	if int(r.Inst.Rd) >= isa.NumRegs || int(r.Inst.Rs1) >= isa.NumRegs || int(r.Inst.Rs2) >= isa.NumRegs {
-		return fmt.Errorf("seq %d: register out of range (rd=%d rs1=%d rs2=%d)",
-			r.Seq, r.Inst.Rd, r.Inst.Rs1, r.Inst.Rs2)
-	}
-	if r.MemSize > 8 {
-		return fmt.Errorf("seq %d: impossible access size %d", r.Seq, r.MemSize)
-	}
-	p.srcStarted = true
-	p.srcNextSeq = r.Seq + 1
-	return nil
-}
-
-// pruneWindow drops records older than the oldest seq that can still be
-// needed (everything below the commit point, keeping MaxDist of history
-// for oracle re-priming after a flush).
-func (p *Pipeline) pruneWindow(committedSeq uint64) {
-	keepFrom := committedSeq
-	slack := uint64(p.cfg.PairCfg.MaxDist + 2)
-	if keepFrom > slack {
-		keepFrom -= slack
-	} else {
-		keepFrom = 0
-	}
-	if keepFrom <= p.windowBase {
-		return
-	}
-	drop := int(keepFrom - p.windowBase)
-	if drop > len(p.window) {
-		drop = len(p.window)
-	}
-	// Copy down occasionally rather than re-slicing forever.
-	if drop > 4096 {
-		//helios:hotalloc-ok copy-down into the same backing array; length only shrinks
-		p.window = append(p.window[:0], p.window[drop:]...)
-		p.windowBase = keepFrom
-	}
 }

@@ -150,11 +150,9 @@ func (p *Pipeline) processTailNucleus(u *pUop, slots int) (int, stats.TDBucket, 
 		return slots, 0, false
 	}
 
-	span := p.span(head.seq, u.seq)
+	span := p.recs[head.seq : u.seq+1]
 	reason := -1
 	switch {
-	case span == nil:
-		reason = 0 // window
 	case fusion.CatalystHasSerializing(span):
 		reason = 1
 	case head.isStore() && fusion.CatalystHasStore(span):
@@ -164,7 +162,7 @@ func (p *Pipeline) processTailNucleus(u *pUop, slots int) (int, stats.TDBucket, 
 		// pair, which Helios does not support (it would need a fourth
 		// source register, Section IV-B).
 		reason = 3
-	case head.isLoad() && fusion.TailDependsOnHead(span):
+	case head.isLoad() && (fusion.TailDependsOnHead(span) || catalystStoreAddrNeedsHead(span)):
 		reason = 4 // deadlock
 	}
 	if reason >= 0 {
@@ -201,6 +199,35 @@ func catalystWritesReg(span []emu.Retired, r isa.Reg) bool {
 	for _, rec := range span[1 : len(span)-1] {
 		if rec.Inst.WritesReg(r) {
 			return true
+		}
+	}
+	return false
+}
+
+// catalystStoreAddrNeedsHead reports whether a catalyst store's base
+// register depends, directly or through the catalyst, on the head's
+// destination. A fused load waits for the address of every catalyst
+// store before it issues (loadMayIssue), so such a pair would wait on
+// its own result: a deadlock.
+func catalystStoreAddrNeedsHead(span []emu.Retired) bool {
+	d, ok := uop.Dest(span[0].Inst)
+	if !ok {
+		return false
+	}
+	taint := uint32(1) << d
+	for _, rec := range span[1 : len(span)-1] {
+		in := rec.Inst
+		if in.Op.IsStore() && in.Rs1 != isa.Zero && taint&(1<<in.Rs1) != 0 {
+			return true
+		}
+		reads := in.Op.HasRs1() && in.Rs1 != isa.Zero && taint&(1<<in.Rs1) != 0 ||
+			in.Op.HasRs2() && in.Rs2 != isa.Zero && taint&(1<<in.Rs2) != 0
+		if d, ok := uop.Dest(in); ok {
+			if reads {
+				taint |= 1 << d
+			} else {
+				taint &^= 1 << d
+			}
 		}
 	}
 	return false
@@ -351,6 +378,7 @@ func (p *Pipeline) renameUop(u *pUop) {
 	if d, ok := uop.Dest(u.r.Inst); ok {
 		p.allocDest(u, d, true)
 	}
+	u.ownDsts = u.numDst
 	if u.kind != uop.FuseNone && u.tailR != nil {
 		if d, ok := uop.Dest(u.tailR.Inst); ok {
 			if u.kind == uop.FuseIdiom && d == u.r.Inst.Rd && u.numDst > 0 {
@@ -413,7 +441,7 @@ func (p *Pipeline) resolveTailSources(head, tail *pUop) {
 // finishTailDest performs the deferred RAT update for the tail nucleus's
 // destination register (in-order destination renaming, Section IV-B2).
 func (p *Pipeline) finishTailDest(head, tail *pUop) {
-	if d, ok := uop.Dest(tail.r.Inst); ok && head.numDst > 1 {
+	if d, ok := uop.Dest(tail.r.Inst); ok && head.numDst > head.ownDsts {
 		slot := int(head.numDst) - 1
 		head.oldPhys[slot] = p.rat[d]
 		p.rat[d] = head.dstPhys[slot]
@@ -432,7 +460,7 @@ func (p *Pipeline) unfuseAtRename(head, tail *pUop) {
 	}
 	p.removePendingNCSF(head)
 	// Release the tail's physical destination (it was never in the RAT).
-	if head.numDst > 1 {
+	if head.numDst > head.ownDsts {
 		slot := int(head.numDst) - 1
 		preg := head.dstPhys[slot]
 		p.regReady[preg] = true

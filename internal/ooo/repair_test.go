@@ -3,8 +3,11 @@ package ooo
 import (
 	"testing"
 
+	"helios/internal/emu"
 	"helios/internal/fusion"
 	"helios/internal/helios"
+	"helios/internal/isa"
+	"helios/internal/trace"
 )
 
 // The kernels below are crafted to steer execution into specific Helios
@@ -15,12 +18,12 @@ import (
 // committed instruction counts agree.
 func runBoth(t *testing.T, src string, cfg Config, maxInsts uint64) (*Stats, *Stats) {
 	t.Helper()
-	base := New(DefaultConfig(fusion.ModeNoFusion), streamFor(t, src, maxInsts))
+	base := New(DefaultConfig(fusion.ModeNoFusion), recordingFor(t, src, maxInsts))
 	bst, err := base.RunChecked(32)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	p := New(cfg, streamFor(t, src, maxInsts))
+	p := New(cfg, recordingFor(t, src, maxInsts))
 	st, err := p.RunChecked(32)
 	if err != nil {
 		t.Fatalf("config run: %v", err)
@@ -399,5 +402,60 @@ loop:
 	}
 	if st.LineCrossingPairs == 0 {
 		t.Error("crossing accesses not counted")
+	}
+}
+
+// syntheticRecording lays records out at consecutive PCs, numbered in
+// order, with each access size taken from its opcode.
+func syntheticRecording(t *testing.T, recs ...emu.Retired) *trace.Recording {
+	t.Helper()
+	for i := range recs {
+		recs[i].Seq = uint64(i)
+		recs[i].PC = 0x1000 + 4*uint64(i)
+		recs[i].NextPC = recs[i].PC + 4
+		recs[i].MemSize = recs[i].Inst.Op.MemSize()
+	}
+	rec, err := trace.FromRecords("synthetic", 0, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// Case: a catalyst store addressed through the head's result. The
+// oracle pairs the two loads (the tail does not depend on the head),
+// but the fused load would wait for the catalyst store's address, which
+// only its own result can supply: Rename must unfuse it as a deadlock.
+func TestRepairCatalystStoreOnHeadUnfuse(t *testing.T) {
+	rec := syntheticRecording(t,
+		emu.Retired{Inst: isa.Inst{Op: isa.OpLD, Rd: isa.A1, Rs1: isa.S0}, EA: 0x100},
+		emu.Retired{Inst: isa.Inst{Op: isa.OpSB, Rs1: isa.A1, Rs2: isa.S2}, EA: 0x800},
+		emu.Retired{Inst: isa.Inst{Op: isa.OpLD, Rd: isa.T1, Rs1: isa.S0, Imm: 8}, EA: 0x108},
+	)
+	st, err := New(DefaultConfig(fusion.ModeOracle), rec).RunChecked(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CommittedInsts != 3 || st.UnfuseReasons[4] != 1 {
+		t.Errorf("committed %d, deadlock unfuses %d; want 3 and 1", st.CommittedInsts, st.UnfuseReasons[4])
+	}
+}
+
+// Case: a fused pair whose head writes no register (a load into x0).
+// The tail's destination is then the µ-op's only one, and rename,
+// commit and unfuse must still treat it as the tail's.
+func TestFusedHeadWithoutDestination(t *testing.T) {
+	rec := syntheticRecording(t,
+		emu.Retired{Inst: isa.Inst{Op: isa.OpLD, Rd: isa.Zero, Rs1: isa.S0}, EA: 0x100},
+		emu.Retired{Inst: isa.Inst{Op: isa.OpADDI, Rd: isa.T0, Rs1: isa.T0, Imm: 1}},
+		emu.Retired{Inst: isa.Inst{Op: isa.OpLD, Rd: isa.TP, Rs1: isa.S0, Imm: 8}, EA: 0x108},
+		emu.Retired{Inst: isa.Inst{Op: isa.OpADDI, Rd: isa.T1, Rs1: isa.TP, Imm: 1}},
+	)
+	st, err := New(DefaultConfig(fusion.ModeOracle), rec).RunChecked(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CommittedInsts != 4 || st.NCSFPairs() != 1 {
+		t.Errorf("committed %d, NCSF pairs %d; want 4 and 1", st.CommittedInsts, st.NCSFPairs())
 	}
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // FailKind classifies how a simulation run died. Every abnormal exit of
-// the pipeline — a hung machine, a recovered stage panic, a faulting or
-// corrupt committed-path stream, a cancelled context — is reported as a
-// *SimError carrying one of these kinds plus a pipeline Snapshot, so
-// callers get a machine-readable crash dump instead of a bare string.
+// the pipeline — a hung machine, a recovered stage panic, a broken
+// invariant, a cancelled context — is reported as a *SimError carrying
+// one of these kinds plus a pipeline Snapshot, so callers get a
+// machine-readable crash dump instead of a bare string.
 type FailKind string
 
 const (
@@ -18,12 +18,6 @@ const (
 	FailWatchdog FailKind = "watchdog"
 	// FailPanic: a pipeline stage panicked; the panic was recovered.
 	FailPanic FailKind = "panic"
-	// FailStream: the committed-path source ended on a fault (emulation
-	// error, injected fault, ...).
-	FailStream FailKind = "stream"
-	// FailCorrupt: the source handed the pipeline a malformed record
-	// (out-of-sequence, impossible opcode/register/access size).
-	FailCorrupt FailKind = "corrupt-stream"
 	// FailInvariant: a periodic CheckInvariants sweep found the pipeline
 	// in an inconsistent state.
 	FailInvariant FailKind = "invariant"
@@ -151,7 +145,7 @@ func (p *Pipeline) snapshot() Snapshot {
 		ROBHead:        describeUop(p.rob.front()),
 		AQHead:         describeUop(p.aq.front()),
 		NextFetch:      p.nextFetch,
-		StreamDone:     p.streamDone,
+		StreamDone:     p.fetchDone,
 		FetchStalled:   p.fetchStalled,
 		Invariants:     p.invariantVerdict(),
 	}

@@ -24,7 +24,7 @@ func TestTopDownConservationAcrossModes(t *testing.T) {
 	}
 	for name, src := range progs {
 		for _, mode := range modes {
-			p := New(DefaultConfig(mode), streamFor(t, src, 100_000))
+			p := New(DefaultConfig(mode), recordingFor(t, src, 100_000))
 			st, err := p.RunChecked(64)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, mode, err)
@@ -69,7 +69,7 @@ func TestTopDownChaosConservation(t *testing.T) {
 	cfg := DefaultConfig(fusion.ModeHelios)
 	cfg.ChaosFlushInterval = 60
 	cfg.ChaosSeed = 7
-	p := New(cfg, streamFor(t, pairedLoads, 50_000))
+	p := New(cfg, recordingFor(t, pairedLoads, 50_000))
 	st, err := p.RunChecked(16)
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
@@ -92,7 +92,7 @@ func TestStallAQAccounting(t *testing.T) {
 	// pairedLoads has a 9-instruction inner loop body, so 8-wide fetch
 	// outpaces 5-wide rename (loopSum's 3-op taken-branch body would cap
 	// fetch below rename width and never pressure the AQ).
-	p := New(cfg, streamFor(t, pairedLoads, 100_000))
+	p := New(cfg, recordingFor(t, pairedLoads, 100_000))
 	st, err := p.Run()
 	if err != nil {
 		t.Fatalf("run: %v", err)

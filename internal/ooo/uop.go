@@ -21,12 +21,12 @@ const (
 // invalidReg marks an unused physical register slot.
 const invalidReg = int32(-1)
 
-// pUop is a µ-op flowing through the pipeline. A fused µ-op keeps the
-// head nucleus's record in r and its tail nucleus's record in tailR
-// (pointing at its own tailStorage). µ-ops are recycled through the
+// pUop is a µ-op flowing through the pipeline. r points at its record
+// in the recording being replayed; a fused µ-op's tailR points at its
+// tail nucleus's record there too. µ-ops are recycled through the
 // uopArena; gen/pooled are the recycling bookkeeping and survive reset.
 type pUop struct {
-	r   emu.Retired
+	r   *emu.Retired
 	seq uint64 // == r.Seq; unique per dynamic instruction
 	ghr uint64 // global branch history at decode (before own outcome)
 	st  stage
@@ -38,15 +38,14 @@ type pUop struct {
 	pooled bool
 
 	// Fusion state.
-	kind        uop.FuseKind
-	tailR       *emu.Retired // architectural record of the fused tail
-	tailStorage emu.Retired  // backing store for tailR (avoids a heap copy)
-	isNCSF      bool         // fused non-consecutively: needs validation
-	validated   bool         // NCSF'd µ-op may issue (NCS Ready)
-	unfused     bool         // NCSF fusion was undone at rename
-	pred        helios.Prediction
-	usedPred    bool   // fusion came from the FP (Helios) and must update it
-	predGhr     uint64 // tail's decode-time GHR, for FP updates
+	kind      uop.FuseKind
+	tailR     *emu.Retired // architectural record of the fused tail
+	isNCSF    bool         // fused non-consecutively: needs validation
+	validated bool         // NCSF'd µ-op may issue (NCS Ready)
+	unfused   bool         // NCSF fusion was undone at rename
+	pred      helios.Prediction
+	usedPred  bool   // fusion came from the FP (Helios) and must update it
+	predGhr   uint64 // tail's decode-time GHR, for FP updates
 
 	// Pair attributes recorded at fuse time (for stats and the region
 	// check at execute).
@@ -71,6 +70,7 @@ type pUop struct {
 	numSrc   int8
 	ownSrcs  int8 // sources belonging to the head itself (low slots)
 	numDst   int8
+	ownDsts  int8 // destinations belonging to the head itself (low slots)
 	pendSrcs int8 // sources not yet ready
 	inReady  bool // this incarnation holds a ready-list ref (dedup guard)
 

@@ -11,8 +11,7 @@
 // retry-after hint, per-request deadlines propagated as context into the
 // engine with partial-work cancellation, per-request panic isolation
 // that converts faults into structured JSON instead of process death,
-// graceful degradation of corrupt cached recordings to a single live
-// re-emulation, and graceful drain on shutdown.
+// and graceful drain on shutdown.
 package serve
 
 import (
@@ -155,8 +154,7 @@ const (
 	// Not retryable.
 	ErrNotFound ErrKind = "not-found"
 	// ErrEngine: the simulation engine faulted; Engine carries the full
-	// structured *ooo.SimError crash dump. Retryable — the degradation
-	// path repairs corrupt recordings, so a retry usually succeeds.
+	// structured *ooo.SimError crash dump.
 	ErrEngine ErrKind = "engine-fault"
 	// ErrInternal: a recovered handler panic or unclassified failure.
 	ErrInternal ErrKind = "internal"

@@ -826,28 +826,25 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 // health is the body shared by /healthz and /readyz: queue and cache
 // state at a glance.
 type health struct {
-	Status        string `json:"status"`
-	Engine        string `json:"engine"`
-	Draining      bool   `json:"draining"`
-	Inflight      int    `json:"inflight"`
-	QueueDepth    int    `json:"queue_depth"`
-	CacheEntries  int    `json:"cache_entries"`
-	LiveFallbacks uint64 `json:"live_fallbacks"`
+	Status       string `json:"status"`
+	Engine       string `json:"engine"`
+	Draining     bool   `json:"draining"`
+	Inflight     int    `json:"inflight"`
+	QueueDepth   int    `json:"queue_depth"`
+	CacheEntries int    `json:"cache_entries"`
 }
 
 func (s *Server) healthSnapshot() health {
 	entries := s.suite.CacheLen()
-	lf := s.suite.Metrics().LiveFallbacks
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return health{
-		Status:        "ok",
-		Engine:        core.EngineVersion(),
-		Draining:      s.draining,
-		Inflight:      s.inflight,
-		QueueDepth:    s.cfg.QueueDepth,
-		CacheEntries:  entries,
-		LiveFallbacks: lf,
+		Status:       "ok",
+		Engine:       core.EngineVersion(),
+		Draining:     s.draining,
+		Inflight:     s.inflight,
+		QueueDepth:   s.cfg.QueueDepth,
+		CacheEntries: entries,
 	}
 }
 
@@ -993,12 +990,11 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 			Coalesced   uint64 `json:"coalesced"`
 		} `json:"cache"`
 		Suite struct {
-			TraceMisses   uint64 `json:"trace_misses"`
-			TraceHits     uint64 `json:"trace_hits"`
-			Replays       uint64 `json:"replays"`
-			PipelineRuns  uint64 `json:"pipeline_runs"`
-			DedupedRuns   uint64 `json:"deduped_runs"`
-			LiveFallbacks uint64 `json:"live_fallbacks"`
+			TraceMisses  uint64 `json:"trace_misses"`
+			TraceHits    uint64 `json:"trace_hits"`
+			Replays      uint64 `json:"replays"`
+			PipelineRuns uint64 `json:"pipeline_runs"`
+			DedupedRuns  uint64 `json:"deduped_runs"`
 		} `json:"suite"`
 		LatencyUs HistSummary            `json:"latency_us"`
 		Spans     map[string]HistSummary `json:"spans,omitempty"`
@@ -1023,7 +1019,6 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	payload.Suite.Replays = snap.suite.Replays
 	payload.Suite.PipelineRuns = snap.suite.PipelineRuns
 	payload.Suite.DedupedRuns = snap.suite.DedupedRuns
-	payload.Suite.LiveFallbacks = snap.suite.LiveFallbacks
 	if s.tel != nil {
 		payload.Tracing = &snap.tracing
 		payload.Sampling = &samplingJSON{
@@ -1082,7 +1077,6 @@ func (s *Server) writeOpenMetrics(w http.ResponseWriter, snap metricsSnapshot) {
 	p.Counter("heliosd_suite_replays_total", "Replay runs off cached recordings.", snap.suite.Replays)
 	p.Counter("heliosd_suite_pipeline_runs_total", "Full pipeline simulations.", snap.suite.PipelineRuns)
 	p.Counter("heliosd_suite_deduped_runs_total", "Suite runs deduplicated by singleflight.", snap.suite.DedupedRuns)
-	p.Counter("heliosd_suite_live_fallbacks_total", "Corrupt recordings degraded to live re-emulation.", snap.suite.LiveFallbacks)
 	// keep filters exemplars to currently retained traces at exposition
 	// time, so every emitted trace_id deep-links into /tracez. Nil tel
 	// emits no exemplars at all.

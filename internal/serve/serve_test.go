@@ -11,10 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"helios/internal/chaos"
 	"helios/internal/fusion"
 	"helios/internal/ooo"
-	"helios/internal/workloads"
 )
 
 // testConfig keeps unit-test servers fast and deterministic: tiny
@@ -409,46 +407,6 @@ func TestConcurrentMissesShareOneRecording(t *testing.T) {
 
 	if m := s.Suite().Metrics(); m.TraceMisses != 1 {
 		t.Errorf("TraceMisses = %d, want 1 (%d concurrent misses must share one record phase)", m.TraceMisses, len(reqs))
-	}
-}
-
-// TestDegradationServesThroughCorruptCache seeds a poisoned recording
-// and checks the request still succeeds via exactly one live
-// re-emulation, with the repair visible on /healthz.
-func TestDegradationServesThroughCorruptCache(t *testing.T) {
-	cfg := testConfig()
-	s, ts := newTestServer(t, cfg)
-
-	w, _ := workloads.ByName("crc32")
-	rec, err := w.Record(cfg.DefaultInsts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := chaos.CorruptRecording(rec, uint64(rec.Len()/2), 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Suite().SeedRecording(bad)
-
-	resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "crc32", Mode: "Helios"})
-	if resp.StatusCode != 200 {
-		t.Fatalf("corrupt recording was not degraded: %d (%s)", resp.StatusCode, body)
-	}
-	if rr := decodeRun(t, body); rr.Stats.CommittedInsts == 0 {
-		t.Fatal("empty result after degradation")
-	}
-	if lf := s.Suite().Metrics().LiveFallbacks; lf != 1 {
-		t.Errorf("LiveFallbacks = %d, want 1", lf)
-	}
-	hresp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var h health
-	json.NewDecoder(hresp.Body).Decode(&h)
-	hresp.Body.Close()
-	if h.LiveFallbacks != 1 {
-		t.Errorf("/healthz live_fallbacks = %d, want 1", h.LiveFallbacks)
 	}
 }
 

@@ -39,8 +39,7 @@ const (
 	PrioFloor = 10
 	// PrioRate marks traces kept by the rate-limited volume budget.
 	PrioRate = 20
-	// PrioSpan marks traces carrying a boosted rare span (record,
-	// degrade).
+	// PrioSpan marks traces carrying a boosted rare span (record).
 	PrioSpan = 40
 	// PrioSlow marks tail-latency outliers.
 	PrioSlow = 60
@@ -86,15 +85,15 @@ func (c *Chain) Sample(ti telemetry.TraceInfo) telemetry.SampleVerdict {
 }
 
 // Default is the standard heliosd chain: keep all errors, keep
-// tail-latency outliers above the adaptive p99, boost traces with rare
-// record/degrade spans, admit a rate-limited volume budget of healthy
+// tail-latency outliers above the adaptive p99, boost traces with a rare
+// record span, admit a rate-limited volume budget of healthy
 // traffic, and guarantee a deterministic 1% floor so even a quiet
 // policy set retains a background sample. seed feeds the floor hash.
 func Default(seed uint64) *Chain {
 	return NewChain(
 		Errors(),
 		SlowTail(99, 64),
-		SpanBoost(PrioSpan, "record", "degrade"),
+		SpanBoost(PrioSpan, "record"),
 		Limit(All(), 25, 50),
 		Floor(0.01, seed),
 	)
@@ -280,8 +279,8 @@ func (s *slowTailPolicy) Decide(ti telemetry.TraceInfo) (bool, int) {
 }
 
 // spanBoostPolicy keeps any trace containing one of the named spans —
-// the hook for rare, load-bearing phases (an uncached record, a
-// degraded replay) that a volume-based sampler would mostly miss.
+// the hook for rare, load-bearing phases (an uncached record) that a
+// volume-based sampler would mostly miss.
 type spanBoostPolicy struct {
 	prio  int
 	names map[string]bool

@@ -148,9 +148,10 @@ func (r *Recording) WriteTo(w io.Writer) (int64, error) {
 
 // ReadFrom deserializes a recording previously written by WriteTo. It
 // fails loudly on non-trace input, version mismatches, hostile headers
-// (absurd name lengths or record counts), truncation, trailing garbage
-// and payload corruption (the gzip CRC is verified before the recording
-// is returned).
+// (absurd name lengths or record counts), truncation, trailing garbage,
+// payload corruption (the gzip CRC is verified before the recording is
+// returned) and well-framed records the pipeline cannot simulate (an
+// error wrapping ErrCorrupt).
 func ReadFrom(rd io.Reader) (*Recording, error) {
 	zr, err := gzip.NewReader(bufio.NewReader(rd))
 	if err != nil {
@@ -202,7 +203,11 @@ func ReadFrom(rd io.Reader) (*Recording, error) {
 			}
 			return nil, fmt.Errorf("trace: record %d: %w", i, err)
 		}
-		recs = append(recs, decodeRecord(&buf))
+		r := decodeRecord(&buf)
+		if err := checkRecord(i, &r); err != nil {
+			return nil, err
+		}
+		recs = append(recs, r)
 	}
 	// Drain to the end of the gzip stream: this forces the CRC/length
 	// trailer check (catching mid-stream corruption) and rejects files

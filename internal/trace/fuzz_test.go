@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"helios/internal/emu"
+	"helios/internal/fusion"
 	"helios/internal/isa"
+	"helios/internal/ooo"
 	"helios/internal/trace"
 )
 
@@ -24,29 +26,20 @@ func fuzzSeedRecording(n int) *trace.Recording {
 			Inst:   isa.Inst{Op: isa.OpADDI, Rd: 5, Rs1: 5, Imm: 1},
 		}
 	}
-	return trace.FromRecords("fuzz", uint64(n), recs)
+	rec, err := trace.FromRecords("fuzz", uint64(n), recs)
+	if err != nil {
+		panic(err)
+	}
+	return rec
 }
 
 // FuzzReadFrom hammers the trace file reader with arbitrary bytes: it
 // must never panic, never allocate absurdly, and any input it accepts
 // must survive a write/read round trip unchanged.
 func FuzzReadFrom(f *testing.F) {
-	rec := fuzzSeedRecording(16)
-	var buf bytes.Buffer
-	if _, err := rec.WriteTo(&buf); err != nil {
-		f.Fatal(err)
+	for _, seed := range readFromSeeds(f) {
+		f.Add(seed)
 	}
-	valid := buf.Bytes()
-
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:11])
-	flipped := append([]byte(nil), valid...)
-	flipped[len(flipped)/2] ^= 0x10
-	f.Add(flipped)
-	f.Add([]byte{})
-	f.Add([]byte("HTRC garbage that is not gzip"))
-
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := trace.ReadFrom(bytes.NewReader(data))
 		if err != nil {
@@ -75,6 +68,74 @@ func FuzzReadFrom(f *testing.F) {
 			}
 		}
 	})
+}
+
+// readFromSeeds is FuzzReadFrom's seed corpus: a valid trace file, its
+// truncations, a bit flip, and inputs that are not trace files at all.
+func readFromSeeds(f *testing.F) [][]byte {
+	var buf bytes.Buffer
+	if _, err := fuzzSeedRecording(16).WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0x10
+	return [][]byte{
+		valid,
+		valid[:len(valid)/2],
+		valid[:11],
+		flipped,
+		{},
+		[]byte("HTRC garbage that is not gzip"),
+	}
+}
+
+// FuzzReplayAccepted fuzzes the claim the pipeline rests on: a recording
+// is validated once, where it is built, so every recording ReadFrom
+// accepts must replay under all six fusion modes, invariants checked
+// throughout and at the end, without error and committing exactly Len()
+// instructions.
+// A mutated file rarely keeps a valid gzip CRC, so the fuzzer's bytes
+// are read both as a trace file and as the uncompressed payload of one.
+// It is seeded from FuzzReadFrom's corpus, as files and as payloads.
+func FuzzReplayAccepted(f *testing.F) {
+	for _, seed := range readFromSeeds(f) {
+		f.Add(seed)
+		if payload, err := gunzip(seed); err == nil {
+			f.Add(payload)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, file := range [][]byte{data, gzipped(data).Bytes()} {
+			rec, err := trace.ReadFrom(bytes.NewReader(file))
+			if err != nil {
+				continue
+			}
+			for _, mode := range fusion.Modes {
+				p := ooo.New(ooo.DefaultConfig(mode), rec)
+				st, err := p.RunChecked(16)
+				if err == nil {
+					err = p.CheckInvariants() // the drained machine too
+				}
+				if err != nil {
+					t.Fatalf("%v: accepted %d-record recording fails to replay: %v", mode, rec.Len(), err)
+				}
+				if st.CommittedInsts != uint64(rec.Len()) {
+					t.Fatalf("%v: committed %d of %d recorded instructions", mode, st.CommittedInsts, rec.Len())
+				}
+			}
+		}
+	})
+}
+
+// gunzip returns the uncompressed payload of a gzip stream.
+func gunzip(file []byte) ([]byte, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(file))
+	if err != nil {
+		return nil, err
+	}
+	defer zr.Close()
+	return io.ReadAll(zr)
 }
 
 // TestHostileHeaders verifies the pre-allocation bounds: zero and
@@ -133,7 +194,10 @@ func TestTrailerVerified(t *testing.T) {
 		}
 	})
 	t.Run("writeto-empty-name", func(t *testing.T) {
-		anon := trace.FromRecords("", 0, nil)
+		anon, err := trace.FromRecords("", 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := anon.WriteTo(&bytes.Buffer{}); err == nil {
 			t.Error("WriteTo accepted an unnamed recording")
 		}
@@ -143,12 +207,7 @@ func TestTrailerVerified(t *testing.T) {
 // rawPayload gunzips a trace file back to its framed payload.
 func rawPayload(t *testing.T, file []byte) []byte {
 	t.Helper()
-	zr, err := gzip.NewReader(bytes.NewReader(file))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer zr.Close()
-	payload, err := io.ReadAll(zr)
+	payload, err := gunzip(file)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,44 +63,6 @@ func (s *Live) Next() (emu.Retired, bool) {
 // Err reports the emulation fault that ended the stream, if any.
 func (s *Live) Err() error { return s.err }
 
-// funcSource adapts a bare stream closure (which cannot fault) to Source.
-type funcSource struct {
-	fn func() (emu.Retired, bool)
-}
-
-func (s funcSource) Next() (emu.Retired, bool) { return s.fn() }
-func (s funcSource) Err() error                { return nil }
-
-// Func wraps a plain stream closure as an error-free Source. It exists
-// for synthetic streams (tests, generators); emulator-backed streams
-// should use Live so faults propagate.
-func Func(fn func() (emu.Retired, bool)) Source { return funcSource{fn} }
-
-// limited bounds an inner Source to a fixed number of records.
-type limited struct {
-	src Source
-	n   uint64
-}
-
-func (l *limited) Next() (emu.Retired, bool) {
-	if l.n == 0 {
-		return emu.Retired{}, false
-	}
-	l.n--
-	return l.src.Next()
-}
-
-func (l *limited) Err() error { return l.src.Err() }
-
-// Limit returns a Source that yields at most maxInsts records from src
-// (0 = no additional bound).
-func Limit(src Source, maxInsts uint64) Source {
-	if maxInsts == 0 {
-		return src
-	}
-	return &limited{src: src, n: maxInsts}
-}
-
 // ctxCheckStride is how many records a ctxSource yields between context
 // polls: frequent enough that a long emulation cancels promptly, rare
 // enough to keep the poll off the per-record hot path.

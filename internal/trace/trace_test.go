@@ -8,15 +8,14 @@ import (
 
 	"helios/internal/asm"
 	"helios/internal/emu"
-	"helios/internal/isa"
 	"helios/internal/trace"
 	"helios/internal/workloads"
 )
 
 // TestReplayBitIdentical is the fidelity property behind the whole
-// record-once/replay-many design: for every registered workload, a
-// Recording replay is bit-identical to the live emulator stream, and a
-// second replay is bit-identical to the first.
+// record-once/replay-many design: for every registered workload, the
+// recording the pipeline replays is bit-identical to the live emulator
+// stream, and a second recording is bit-identical to the first.
 func TestReplayBitIdentical(t *testing.T) {
 	const budget = 20_000
 	for _, w := range workloads.All() {
@@ -31,22 +30,23 @@ func TestReplayBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c1, c2 := rec.Replay(), rec.Replay()
+			again, err := w.Record(budget)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := 0; ; i++ {
 				lr, lok := live.Next()
-				r1, ok1 := c1.Next()
-				r2, ok2 := c2.Next()
-				if lok != ok1 || lok != ok2 {
-					t.Fatalf("length diverges at %d: live=%v replay=%v replay2=%v", i, lok, ok1, ok2)
+				if lok != (i < rec.Len()) || lok != (i < again.Len()) {
+					t.Fatalf("length diverges at %d: live=%v recorded=%d re-recorded=%d", i, lok, rec.Len(), again.Len())
 				}
 				if !lok {
 					break
 				}
-				if r1 != lr {
-					t.Fatalf("replay diverges from live at %d:\n%+v\n%+v", i, r1, lr)
+				if rec.At(i) != lr {
+					t.Fatalf("recording diverges from live at %d:\n%+v\n%+v", i, rec.At(i), lr)
 				}
-				if r2 != r1 {
-					t.Fatalf("second replay diverges at %d", i)
+				if again.At(i) != rec.At(i) {
+					t.Fatalf("second recording diverges at %d", i)
 				}
 			}
 			if err := live.Err(); err != nil {
@@ -183,54 +183,5 @@ _start:
 	}
 	if _, err := trace.Record(trace.NewLive(emu.New(prog), 0)); err == nil {
 		t.Error("Record must refuse a faulting stream")
-	}
-}
-
-// TestLimit bounds a source without hiding its error.
-func TestLimit(t *testing.T) {
-	w, _ := workloads.ByName("sha")
-	rec, err := w.Record(1_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lim := trace.Limit(rec.Replay(), 100)
-	n := 0
-	for {
-		if _, ok := lim.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 100 {
-		t.Errorf("Limit yielded %d, want 100", n)
-	}
-	if err := lim.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got := trace.Limit(rec.Replay(), 0); got == nil {
-		t.Error("Limit(_, 0) must pass the source through")
-	}
-}
-
-// TestFuncAdapter wraps a closure as a Source.
-func TestFuncAdapter(t *testing.T) {
-	i := 0
-	src := trace.Func(func() (emu.Retired, bool) {
-		if i >= 3 {
-			return emu.Retired{}, false
-		}
-		r := emu.Retired{Seq: uint64(i), Inst: isa.Inst{Op: isa.OpADDI}}
-		i++
-		return r, true
-	})
-	n := 0
-	for {
-		if _, ok := src.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 3 || src.Err() != nil {
-		t.Errorf("Func adapter: n=%d err=%v", n, src.Err())
 	}
 }
